@@ -1,0 +1,58 @@
+"""Seedable simulator and analysis library for over-the-air federated
+learning protected by pairwise-cancellable random artificial noise."""
+
+from .aircomp import (
+    AggregateEstimate,
+    TransmitFrame,
+    build_transmit,
+    clip_gradient,
+    postprocess,
+    simulate_aggregation_rounds,
+    simulate_round,
+    superpose,
+)
+from .channel import (
+    ChannelConfig,
+    ChannelRealization,
+    awgn,
+    db_to_linear,
+    sample_channel,
+    sample_gains,
+)
+from .fl_core import (
+    BoundInputs,
+    SyntheticTask,
+    TrainSettings,
+    TrainState,
+    all_local_gradients,
+    centralized_gd,
+    convergence_bound,
+    global_loss,
+    local_gradient,
+    make_task,
+    optimal_model,
+    train_over_air,
+)
+from .pcran import (
+    BetaAllocation,
+    NoiseStats,
+    Pairing,
+    PairSecret,
+    PowerAllocation,
+    aggregate_noise_stats,
+    compute_alignment,
+    draw_pcran,
+    draw_secrets,
+    form_pairs,
+    optimize_beta_dp,
+)
+from .secrecy import (
+    SecrecyInputs,
+    SecrecyPoint,
+    SecrecySweep,
+    SweepResult,
+    monte_carlo_secrecy,
+    secrecy_point,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,249 @@
+"""Pairwise-cancellable random artificial noise (PCR-AN).
+
+Covers pair formation, shared-secret noise parameters, noise sampling, the
+gradient/noise power split (alignment constant m and per-user alpha), the
+privacy-driven beta allocation, and the aggregated-noise statistics of the
+cancellation algebra.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.random import Generator
+
+POSITIVE = "positive"
+NEGATIVE = "negative"
+
+
+@dataclass(frozen=True)
+class PairSecret:
+    """Shared (mu, sigma2_pos, sigma2_neg) defining one pair's noise laws.
+
+    The positive-role user draws N(+mu, sigma2_pos); the negative-role user
+    draws N(-mu, sigma2_neg).  Opposite means cancel in the aggregate.
+    """
+
+    mu: float
+    sigma2_pos: float
+    sigma2_neg: float
+
+    def __post_init__(self) -> None:
+        if self.sigma2_pos < 0 or self.sigma2_neg < 0:
+            raise ValueError("noise variances must be nonnegative")
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """Perfect matching of users into (positive, negative) role pairs."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def num_users(self) -> int:
+        return 2 * len(self.pairs)
+
+    def __post_init__(self) -> None:
+        seen = [u for pair in self.pairs for u in pair]
+        if len(set(seen)) != len(seen):
+            raise ValueError("a user appears in more than one pair")
+
+
+@dataclass(frozen=True)
+class PowerAllocation:
+    """Per-user power budget and split, plus the alignment constant."""
+
+    P: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    m: float
+    L_s: float
+
+
+@dataclass(frozen=True)
+class NoiseStats:
+    """Aggregated PCR-AN statistics at the aggregation server.
+
+    M is the scalar front factor (1/(mK)) * sum over positive-role users of
+    the effective noise gain |h_i| sqrt(beta_i P_i); sigma_A2 sums both
+    variances of every pair; sigma_zprime2 = M^2 sigma_A2 + sigma_z2 is the
+    residual-noise variance.
+    """
+
+    M: float
+    sigma_A2: float
+    sigma_zprime2: float
+
+
+@dataclass(frozen=True)
+class BetaAllocation:
+    """Result of the privacy-driven noise power allocation.
+
+    beta_raw is the waterfilling output before the physical [0, 1-alpha]
+    clamp; clamped flags which users were cut back.
+    """
+
+    beta: np.ndarray
+    beta_raw: np.ndarray
+    psi: float
+    clamped: np.ndarray
+
+
+def form_pairs(K: int, rng: Generator) -> Pairing:
+    """Randomly match K users (K even) into positive/negative role pairs."""
+    if K < 2 or K % 2 != 0:
+        raise ValueError(f"pairwise noise needs an even number of users, got K={K}")
+    perm = rng.permutation(K)
+    pairs = tuple((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(K // 2))
+    return Pairing(pairs=pairs)
+
+
+def draw_secrets(
+    n_pairs: int,
+    mu_range: tuple[float, float],
+    sigma2_range: tuple[float, float],
+    rng: Generator,
+) -> list[PairSecret]:
+    """Draw per-pair secrets with mu and both variances uniform in the ranges."""
+    secrets = []
+    for _ in range(n_pairs):
+        mu = rng.uniform(*mu_range)
+        s_pos = rng.uniform(*sigma2_range)
+        s_neg = rng.uniform(*sigma2_range)
+        secrets.append(PairSecret(mu=mu, sigma2_pos=s_pos, sigma2_neg=s_neg))
+    return secrets
+
+
+def draw_pcran(secret: PairSecret, role: str, dim: int, rng: Generator) -> np.ndarray:
+    """Sample one user's artificial-noise vector for its pair role."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if role == POSITIVE:
+        mean, var = secret.mu, secret.sigma2_pos
+    elif role == NEGATIVE:
+        mean, var = -secret.mu, secret.sigma2_neg
+    else:
+        raise ValueError(f"role must be 'positive' or 'negative', got {role!r}")
+    if var == 0:
+        return np.full(dim, mean)
+    return rng.normal(mean, np.sqrt(var), size=dim)
+
+
+def compute_alignment(
+    h2: np.ndarray,
+    P: np.ndarray,
+    L_s: float,
+    alpha_cap: float = 1.0,
+) -> tuple[float, np.ndarray]:
+    """Channel-inversion power split: alignment constant m and per-user alpha.
+
+    m = sqrt(alpha_cap * min_q |h_q|^2 P_q) / L_s and
+    alpha_k = alpha_cap * min_q(|h_q|^2 P_q) / (|h_k|^2 P_k), so that
+    |h_k| sqrt(alpha_k P_k) / L_s = m for every user.  alpha_cap < 1 caps the
+    signal power fraction of the worst-SNR user (alpha_cap = 0.5 realizes the
+    "alpha_k = 0.5" operating point on equal-gain channels).
+    """
+    h2 = np.asarray(h2, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if L_s <= 0:
+        raise ValueError("gradient-norm bound L_s must be positive")
+    if not 0 < alpha_cap <= 1:
+        raise ValueError("alpha_cap must lie in (0, 1]")
+    eff = h2 * P
+    if np.any(eff <= 0):
+        raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
+    worst = float(eff.min())  # first index wins on ties via min
+    m = float(np.sqrt(alpha_cap * worst) / L_s)
+    alpha = alpha_cap * worst / eff
+    return m, alpha
+
+
+def optimize_beta_dp(
+    h2: np.ndarray,
+    P: np.ndarray,
+    eps: np.ndarray,
+    delta: float,
+    sigma_z2: float,
+    caps: np.ndarray,
+    alpha: np.ndarray | None = None,
+) -> BetaAllocation:
+    """Privacy-driven sequential noise-power allocation.
+
+    The total noise-power demand is
+    Psi = max_p (min_q |h_q|^2 P_q / eps_p) * ln(1.25/delta) - sigma_z2,
+    filled user by user: Z_k = min(cap_k, (Psi - sum_{p<k} U_p)^+) with
+    U_p = |h_p|^2 beta_p P_p, and beta_k = Z_k / (|h_k|^2 P_k).  The result
+    is clamped to the physical range [0, 1 - alpha_k] (alpha defaults to 0).
+    Psi <= 0 means the privacy demand is already met by channel noise and no
+    artificial noise is allocated.
+    """
+    h2 = np.asarray(h2, dtype=float)
+    P = np.asarray(P, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    if np.any(eps <= 0):
+        raise ValueError("all privacy levels eps must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    if np.any(caps < 0):
+        raise ValueError("caps must be nonnegative")
+    eff = h2 * P
+    if np.any(eff <= 0):
+        raise ValueError("degenerate channel: zero gain")
+
+    worst = float(eff.min())
+    psi = float(np.max(worst / eps) * np.log(1.25 / delta) - sigma_z2)
+
+    K = len(eff)
+    beta_raw = np.zeros(K)
+    used = 0.0
+    for k in range(K):
+        remaining = max(psi - used, 0.0)
+        z_k = min(float(caps[k]), remaining)
+        beta_raw[k] = z_k / eff[k]
+        used += eff[k] * beta_raw[k]
+
+    upper = np.ones(K) if alpha is None else 1.0 - np.asarray(alpha, dtype=float)
+    beta = np.clip(beta_raw, 0.0, upper)
+    clamped = beta_raw > upper
+    return BetaAllocation(beta=beta, beta_raw=beta_raw, psi=psi, clamped=clamped)
+
+
+def noise_gains(h2: np.ndarray, P: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-user effective noise amplitude |h_k| sqrt(beta_k P_k)."""
+    return np.sqrt(np.asarray(h2) * np.asarray(beta) * np.asarray(P))
+
+
+def equalized_gain(gains: np.ndarray) -> float:
+    """Common noise-gain target for pre-equalization: the minimum gain."""
+    return float(np.min(gains)) if len(gains) else 0.0
+
+
+def aggregate_noise_stats(
+    pairing: Pairing,
+    secrets: list[PairSecret],
+    h2: np.ndarray,
+    P: np.ndarray,
+    beta: np.ndarray,
+    m: float,
+    sigma_z2: float,
+    pre_equalized: bool = True,
+) -> NoiseStats:
+    """Predicted statistics of the aggregated PCR-AN term.
+
+    sigma_A2 sums sigma2_pos + sigma2_neg over pairs; M sums the effective
+    noise gains of the positive-role users scaled by 1/(mK).  With
+    pre-equalization every user's effective gain equals the common minimum.
+    The residual variance is sigma_zprime2 = M^2 sigma_A2 + sigma_z2, and the
+    predicted mean of the aggregated noise term is exactly zero.
+    """
+    if len(secrets) != len(pairing.pairs):
+        raise ValueError("need one secret per pair")
+    K = pairing.num_users
+    gains = noise_gains(h2, P, beta)
+    if pre_equalized:
+        gains = np.full_like(gains, equalized_gain(gains))
+    sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
+    M = float(sum(gains[pos] for pos, _ in pairing.pairs) / (m * K))
+    sigma_zprime2 = M**2 * sigma_A2 + sigma_z2
+    return NoiseStats(M=M, sigma_A2=sigma_A2, sigma_zprime2=sigma_zprime2)
