@@ -3,13 +3,11 @@ learning protected by pairwise-cancellable random artificial noise."""
 
 from .aircomp import (
     AggregateEstimate,
-    TransmitFrame,
-    build_transmit,
+    LinkPlan,
     clip_gradient,
-    postprocess,
+    plan_link,
     simulate_aggregation_rounds,
     simulate_round,
-    superpose,
 )
 from .channel import (
     ChannelConfig,

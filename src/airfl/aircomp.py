@@ -19,17 +19,10 @@ from .pcran import (
     PairSecret,
     PowerAllocation,
     aggregate_noise_stats,
-    draw_pcran,
+    draw_pcran,  # noqa: F401 -- unused; bench/spans.py wraps aircomp.draw_pcran
     equalized_gain,
     noise_gains,
 )
-
-
-@dataclass(frozen=True)
-class TransmitFrame:
-    """One user's channel-scaled analog contribution."""
-
-    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,116 +33,122 @@ class AggregateEstimate:
     noise_stats: NoiseStats | None = None
 
 
+@dataclass(frozen=True)
+class LinkPlan:
+    """Per-run invariants of the aggregation link, indexed by user k.
+
+    sig_amp is |h_k| sqrt(alpha_k P_k) / L_s, which alignment makes equal to
+    m; noise_amp is |h_k| sqrt(beta_k P_k).  equalize is the pre-equalization
+    factor target / gains_k applied to the drawn noise (1 where it does not
+    apply).  mean and sd are each user's PCR-AN law from its pair role;
+    drawn lists, in index order, the users whose noise variance is nonzero.
+    """
+
+    sig_amp: np.ndarray
+    noise_amp: np.ndarray
+    gains: np.ndarray
+    equalize: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
+    drawn: np.ndarray
+    m: float
+    L_s: float
+    sigma_z2: float
+    noise_stats: NoiseStats
+
+
 def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
-    """Scale g down to norm L_s if it exceeds the bound, else pass through."""
+    """Scale each gradient (last axis of g) down to norm L_s if it exceeds it.
+
+    The vector @ vector matmul runs np.linalg.norm's dot routine, so a (K, d)
+    stack clips bit for bit like its rows one by one (an einsum norm sums in
+    another order); L_s / max(norm, L_s) is exactly 1 within the bound.
+    """
     if L_s <= 0:
         raise ValueError("gradient-norm bound L_s must be positive")
-    norm = float(np.linalg.norm(g))
-    if norm <= L_s:
-        return np.asarray(g, dtype=float)
-    return np.asarray(g, dtype=float) * (L_s / norm)
+    g = np.asarray(g, dtype=float)
+    norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
+    return g * (L_s / np.maximum(norm, L_s))[..., None]
 
 
-def build_transmit(
-    s_k: np.ndarray,
-    n_k: np.ndarray,
-    k: int,
-    alloc: PowerAllocation,
-    h2: np.ndarray,
-) -> TransmitFrame:
-    """Channel-scaled frame |h_k| (sqrt(alpha_k P_k)/L_s s_k + sqrt(beta_k P_k) n_k).
-
-    By the alignment construction the gradient part equals m * s_k.
-    """
-    norm = float(np.linalg.norm(s_k))
-    if norm > alloc.L_s * (1 + 1e-12):
-        raise ValueError("gradient exceeds the norm bound; clip before transmitting")
-    h = np.sqrt(h2[k])
-    sig_amp = h * np.sqrt(alloc.alpha[k] * alloc.P[k]) / alloc.L_s
-    noise_amp = h * np.sqrt(alloc.beta[k] * alloc.P[k])
-    return TransmitFrame(payload=sig_amp * np.asarray(s_k) + noise_amp * np.asarray(n_k))
-
-
-def superpose(frames: list[TransmitFrame], z: np.ndarray) -> np.ndarray:
-    """Multiple-access channel output: elementwise sum of payloads plus noise."""
-    if not frames:
-        raise ValueError("no transmitters: frame list is empty")
-    dim = frames[0].payload.shape
-    if any(f.payload.shape != dim for f in frames) or z.shape != dim:
-        raise ValueError("frame/noise dimension mismatch")
-    out = z.astype(float).copy()
-    for f in frames:
-        out += f.payload
-    return out
-
-
-def postprocess(
-    r: np.ndarray,
-    m: float,
-    K: int,
-    noise_stats: NoiseStats | None = None,
-) -> AggregateEstimate:
-    """Rescale the received signal by 1/(mK) into the mean-gradient estimate."""
-    if m <= 0:
-        raise ValueError("degenerate alignment: m must be positive")
-    if K < 1:
-        raise ValueError("need at least one user")
-    return AggregateEstimate(s_hat=np.asarray(r, dtype=float) / (m * K), noise_stats=noise_stats)
-
-
-def _role_params(pairing: Pairing, secrets: list[PairSecret], K: int):
-    """Per-user (mean, variance) arrays from pair secrets and roles."""
-    means = np.zeros(K)
-    variances = np.zeros(K)
-    for (pos, neg), secret in zip(pairing.pairs, secrets):
-        means[pos], variances[pos] = secret.mu, secret.sigma2_pos
-        means[neg], variances[neg] = -secret.mu, secret.sigma2_neg
-    return means, variances
-
-
-def simulate_round(
-    gradients: np.ndarray,
+def plan_link(
     realization: ChannelRealization,
     alloc: PowerAllocation,
     pairing: Pairing,
     secrets: list[PairSecret],
     sigma_z2: float,
-    rng: Generator,
     pre_equalized: bool = True,
-) -> AggregateEstimate:
-    """One full aggregation round: clip, add PCR-AN, superpose, postprocess.
+) -> LinkPlan:
+    """Precompute one run's link invariants and check that they fit together.
 
-    gradients has shape (K, d).  With pre-equalization each user scales its
-    noise so the received noise gain is the common minimum, making the
-    pairwise means cancel exactly; without it the raw gains apply and
-    cancellation is imperfect.
+    With pre-equalization each user scales its noise so the received noise
+    gain is the common minimum, making the pairwise means cancel exactly;
+    without it the raw gains apply and cancellation is imperfect.
     """
-    K, d = gradients.shape
-    gains = noise_gains(realization.h2, alloc.P, alloc.beta)
-    target = equalized_gain(gains)
-    frames = []
-    for k in range(K):
-        s_k = clip_gradient(gradients[k], alloc.L_s)
-        pair_idx, role = _user_role(pairing, k)
-        n_k = draw_pcran(secrets[pair_idx], role, d, rng)
-        if pre_equalized and gains[k] > 0:
-            n_k = n_k * (target / gains[k])
-        frames.append(build_transmit(s_k, n_k, k, alloc, realization.h2))
-    z = awgn(d, sigma_z2, rng)
+    h2 = realization.h2
+    K = len(h2)
+    if K == 0:
+        raise ValueError("no transmitters: the link has no users")
+    users = sorted(u for pair in pairing.pairs for u in pair)
+    if users != list(range(K)):
+        raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
+    if alloc.m <= 0:
+        raise ValueError("degenerate alignment: m must be positive")
     stats = aggregate_noise_stats(
-        pairing, secrets, realization.h2, alloc.P, alloc.beta,
-        alloc.m, sigma_z2, pre_equalized=pre_equalized,
+        pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2,
+        pre_equalized=pre_equalized,
     )
-    return postprocess(superpose(frames, z), alloc.m, K, noise_stats=stats)
+    gains = noise_gains(h2, alloc.P, alloc.beta)
+    target = equalized_gain(gains)
+    equalize = np.divide(target, gains, out=np.ones(K), where=pre_equalized & (gains > 0))
+    mean = np.zeros(K)
+    var = np.zeros(K)
+    for (pos, neg), secret in zip(pairing.pairs, secrets):
+        mean[pos], var[pos] = secret.mu, secret.sigma2_pos
+        mean[neg], var[neg] = -secret.mu, secret.sigma2_neg
+    h = np.sqrt(h2)
+    return LinkPlan(
+        sig_amp=h * np.sqrt(alloc.alpha * alloc.P) / alloc.L_s,
+        noise_amp=h * np.sqrt(alloc.beta * alloc.P),
+        gains=gains,
+        equalize=equalize,
+        mean=mean,
+        sd=np.sqrt(var),
+        drawn=np.flatnonzero(var),
+        m=alloc.m,
+        L_s=alloc.L_s,
+        sigma_z2=sigma_z2,
+        noise_stats=stats,
+    )
 
 
-def _user_role(pairing: Pairing, k: int) -> tuple[int, str]:
-    for i, (pos, neg) in enumerate(pairing.pairs):
-        if k == pos:
-            return i, "positive"
-        if k == neg:
-            return i, "negative"
-    raise ValueError(f"user {k} is not in the pairing")
+def simulate_round(
+    gradients: np.ndarray, plan: LinkPlan, rng: Generator
+) -> AggregateEstimate:
+    """One full aggregation round: clip, add PCR-AN, superpose, rescale by 1/(mK).
+
+    gradients has shape (K, d).  Draws and float operations follow the
+    per-user order (user noise in index order, then receiver noise; the sum
+    starts from the receiver noise and adds users in index order), so a
+    seeded run is reproducible bit for bit.
+    """
+    K = len(plan.sig_amp)
+    if gradients.ndim != 2 or len(gradients) != K:
+        raise ValueError(f"gradient shape {gradients.shape} does not fit a plan of K={K} users")
+    d = gradients.shape[1]
+    noise = np.repeat(plan.mean[:, None], d, axis=1)
+    drawn = plan.drawn
+    noise[drawn] = rng.normal(
+        plan.mean[drawn, None], plan.sd[drawn, None], size=(len(drawn), d)
+    )
+    noise *= plan.equalize[:, None]
+    received = np.empty((K + 1, d))
+    received[0] = awgn(d, plan.sigma_z2, rng)
+    received[1:] = (plan.sig_amp[:, None] * clip_gradient(gradients, plan.L_s)
+                    + plan.noise_amp[:, None] * noise)
+    # accumulate adds strictly in row order: z, then users 0..K-1
+    r = np.add.accumulate(received, axis=0)[-1]
+    return AggregateEstimate(s_hat=r / (plan.m * K), noise_stats=plan.noise_stats)
 
 
 def simulate_aggregation_rounds(
@@ -167,25 +166,21 @@ def simulate_aggregation_rounds(
 
     Returns the (n_rounds, d) array of mean-gradient estimates.  Same model
     as :func:`simulate_round`, batched over rounds for desk-scale sample
-    counts.
+    counts; each user's noise is drawn over the rounds axis in turn, so
+    memory stays at two (n_rounds, d) arrays whatever K is.
     """
+    plan = plan_link(realization, alloc, pairing, secrets, sigma_z2, pre_equalized)
     K, d = gradients.shape
-    clipped = np.stack([clip_gradient(gradients[k], alloc.L_s) for k in range(K)])
-    h = np.sqrt(realization.h2)
-    sig_amp = h * np.sqrt(alloc.alpha * alloc.P) / alloc.L_s  # (K,)
-    signal = sig_amp @ clipped  # (d,)
-
-    gains = noise_gains(realization.h2, alloc.P, alloc.beta)
-    eff = np.full(K, equalized_gain(gains)) if pre_equalized else gains
-    means, variances = _role_params(pairing, secrets, K)
+    signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)
+    eff = np.full(K, equalized_gain(plan.gains)) if pre_equalized else plan.gains
 
     received = np.tile(signal, (n_rounds, 1))
     for k in range(K):
-        if gains[k] == 0:
+        if plan.gains[k] == 0:
             continue
         # receiver sees eff[k] * n_k per user; draw the scaled noise directly
         received += rng.normal(
-            eff[k] * means[k], eff[k] * np.sqrt(variances[k]), size=(n_rounds, d)
+            eff[k] * plan.mean[k], eff[k] * plan.sd[k], size=(n_rounds, d)
         )
     if sigma_z2 > 0:
         received += rng.normal(0.0, np.sqrt(sigma_z2), size=(n_rounds, d))

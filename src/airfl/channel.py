@@ -37,13 +37,17 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if self.fading_mode not in ("rayleigh", "fixed"):
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
-        if self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be nonnegative")
-        if self.delta_h < 0:
-            raise ValueError("delta_h must be nonnegative")
+        for name in ("sigma_z2", "delta_h"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.fading_mode == "fixed":
             if self.fixed_gains is None:
                 raise ValueError("fixed fading mode requires fixed_gains")
+            if not np.all(np.isfinite(self.fixed_gains)):
+                raise ValueError("fixed_gains must be finite")
             if any(g < 0 for g in self.fixed_gains):
                 raise ValueError("fixed_gains must be nonnegative")
 
@@ -66,9 +70,7 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelReal
     if K < 1:
         raise ValueError("empty system: need at least one user")
     if config.fading_mode == "rayleigh":
-        re = rng.normal(0.0, np.sqrt(0.5), size=K)
-        im = rng.normal(0.0, np.sqrt(0.5), size=K)
-        h2 = re**2 + im**2
+        h2 = sample_gains(config, K, rng)
     else:
         if len(config.fixed_gains) != K:
             raise ValueError(
@@ -82,7 +84,7 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelReal
 def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
     """Draw n i.i.d. server-link power gains (Monte Carlo helper).
 
-    Same marginal as one user in :func:`sample_channel`; a fixed-mode config
+    :func:`sample_channel` draws its Rayleigh gains here; a fixed-mode config
     with a single gain yields a constant vector.
     """
     if n < 1:

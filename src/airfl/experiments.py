@@ -8,14 +8,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .aircomp import simulate_aggregation_rounds
 from .channel import ChannelConfig, db_to_linear, sample_channel
 from .fl_core import (
-    BoundInputs,
     TrainSettings,
     convergence_bound,
     make_task,
@@ -78,8 +77,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if self.samples < 1:
-            raise ConfigError("samples must be at least 1")
+        for name in ("seed", "users", "samples", "n_seeds", "d", "T", "n_per_user"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name not in ("seed", "users"):
+                raise ConfigError(f"{name} must be at least 1")
         if self.experiment in ("train", "fig5", "noise-check") and self.users % 2 != 0:
             raise ConfigError(
                 f"odd user count K={self.users} is unsupported by the pairwise scheme"
@@ -98,7 +101,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     },
     "fig5": {"powers_db": (30.0,)},
     "train": {"powers_db": (30.0,)},
-    "noise-check": {"samples": 100_000},
 }
 
 

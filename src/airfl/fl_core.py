@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from .aircomp import clip_gradient, simulate_round
+from .aircomp import clip_gradient, plan_link, simulate_round
 from .channel import ChannelConfig, sample_channel
 from .pcran import PowerAllocation, compute_alignment, draw_secrets, form_pairs
 
@@ -172,8 +172,7 @@ def centralized_gd(
     state = TrainState(w=w, t=0, eta=0.0)
     for t in range(1, settings.T + 1):
         grads = all_local_gradients(state.w, task)
-        clipped = np.stack([clip_gradient(g, settings.L_s) for g in grads])
-        s_hat = clipped.mean(axis=0)
+        s_hat = clip_gradient(grads, settings.L_s).mean(axis=0)
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * s_hat
         state.t, state.eta = t, eta
@@ -207,6 +206,10 @@ def train_over_air(
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
     pairing = form_pairs(K, rng)
     secrets = draw_secrets(K // 2, settings.mu_range, settings.sigma2_range, rng)
+    plan = plan_link(
+        realization, alloc, pairing, secrets, channel_config.sigma_z2,
+        pre_equalized=settings.pre_equalized,
+    )
 
     w = np.zeros(task.d) if w0 is None else w0.astype(float).copy()
     state = TrainState(w=w, t=0, eta=0.0)
@@ -218,10 +221,7 @@ def train_over_air(
 
     for t in range(1, settings.T + 1):
         grads = all_local_gradients(state.w, task)
-        est = simulate_round(
-            grads, realization, alloc, pairing, secrets,
-            channel_config.sigma_z2, rng, pre_equalized=settings.pre_equalized,
-        )
+        est = simulate_round(grads, plan, rng)
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * est.s_hat
         state.t, state.eta = t, eta

@@ -150,6 +150,8 @@ def compute_alignment(
     if not 0 < alpha_cap <= 1:
         raise ValueError("alpha_cap must lie in (0, 1]")
     eff = h2 * P
+    if not np.all(np.isfinite(eff)):
+        raise ValueError("channel gains and powers must be finite")
     if np.any(eff <= 0):
         raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
     worst = float(eff.min())  # first index wins on ties via min

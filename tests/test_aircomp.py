@@ -1,17 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from airfl.aircomp import (
-    TransmitFrame,
-    build_transmit,
     clip_gradient,
-    postprocess,
+    plan_link,
     simulate_aggregation_rounds,
     simulate_round,
-    superpose,
 )
-from airfl.channel import ChannelRealization
-from airfl.pcran import PairSecret, Pairing, PowerAllocation, compute_alignment
+from airfl.channel import ChannelRealization, awgn
+from airfl.pcran import (
+    PairSecret,
+    Pairing,
+    PowerAllocation,
+    compute_alignment,
+    draw_pcran,
+    equalized_gain,
+    noise_gains,
+)
 
 
 def rng(seed=0):
@@ -26,6 +33,56 @@ def make_alloc(h2, P, L_s=1.0, beta=0.0, alpha_cap=1.0):
     return PowerAllocation(P=P, alpha=alpha, beta=beta_arr, m=m, L_s=L_s)
 
 
+QUIET = PairSecret(mu=0.0, sigma2_pos=0.0, sigma2_neg=0.0)
+
+
+def make_plan(h2, alloc, secrets=None, sigma_z2=0.0, pre_equalized=True):
+    """Plan for users paired (0, 1), (2, 3), ...; silent noise by default."""
+    h2 = np.asarray(h2, dtype=float)
+    pairing = Pairing(pairs=tuple((i, i + 1) for i in range(0, len(h2), 2)))
+    secrets = secrets or [QUIET] * len(pairing.pairs)
+    real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+    return plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+
+
+def received(est, alloc):
+    """Undo the 1/(mK) rescaling to recover the superposed channel output."""
+    return est.s_hat * (alloc.m * len(alloc.P))
+
+
+def reference_clip(g, L_s):
+    """Per-vector clip by np.linalg.norm."""
+    norm = float(np.linalg.norm(g))
+    return g if norm <= L_s else g * (L_s / norm)
+
+
+def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen,
+                    pre_equalized=True):
+    """Per-user aggregation round: clip -> draw_pcran -> equalize -> payload,
+    then z, summed as z first and users in index order."""
+    K, d = gradients.shape
+    gains = noise_gains(real.h2, alloc.P, alloc.beta)
+    target = equalized_gain(gains)
+    roles = {}
+    for i, (pos, neg) in enumerate(pairing.pairs):
+        roles[pos], roles[neg] = (i, "positive"), (i, "negative")
+    payloads = []
+    for k in range(K):
+        s_k = reference_clip(gradients[k], alloc.L_s)
+        i, role = roles[k]
+        n_k = draw_pcran(secrets[i], role, d, gen)
+        if pre_equalized and gains[k] > 0:
+            n_k = n_k * (target / gains[k])
+        h = np.sqrt(real.h2[k])
+        sig_amp = h * np.sqrt(alloc.alpha[k] * alloc.P[k]) / alloc.L_s
+        noise_amp = h * np.sqrt(alloc.beta[k] * alloc.P[k])
+        payloads.append(sig_amp * s_k + noise_amp * n_k)
+    out = awgn(d, sigma_z2, gen).astype(float).copy()
+    for payload in payloads:
+        out += payload
+    return out / (alloc.m * K)
+
+
 class TestClipGradient:
     def test_within_bound_unchanged(self):
         g = np.array([0.3, 0.4])
@@ -37,6 +94,14 @@ class TestClipGradient:
     def test_zero_vector(self):
         assert np.array_equal(clip_gradient(np.zeros(3), 1.0), np.zeros(3))
 
+    def test_stack_matches_rows(self):
+        r = rng(3)
+        for d in (1, 30, 1000):
+            G = r.normal(0.0, 1.0, size=(6, d)) * r.uniform(0.01, 3.0, size=(6, 1))
+            ref = np.stack([reference_clip(g, 1.5) for g in G])
+            assert np.array_equal(clip_gradient(G, 1.5), ref)
+            assert np.array_equal(clip_gradient(G[0], 1.5), ref[0])
+
     def test_output_norm_bounded(self):
         r = rng(1)
         for _ in range(50):
@@ -44,83 +109,162 @@ class TestClipGradient:
             assert np.linalg.norm(clip_gradient(g, 1.5)) <= 1.5 + 1e-12
 
 
+class TestRoundKernelExact:
+    @pytest.mark.parametrize("K", [2, 10])
+    @pytest.mark.parametrize("d", [1, 30])
+    @pytest.mark.parametrize("pre_equalized", [True, False])
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    @pytest.mark.parametrize("silent", [True, False])
+    def test_matches_per_user_loop(self, K, d, pre_equalized, sigma_z2, silent):
+        r = rng(K * 1000 + d)
+        h2 = r.exponential(size=K)
+        alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
+        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+        perm = r.permutation(K)
+        pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
+                                      for i in range(K // 2)))
+        secrets = [PairSecret(r.uniform(0.5, 1.5), r.uniform(0.5, 2.0),
+                              r.uniform(0.5, 2.0)) for _ in range(K // 2)]
+        if silent:  # zero-variance users draw nothing
+            secrets[0] = PairSecret(mu=0.7, sigma2_pos=0.0, sigma2_neg=0.0)
+            if K > 2:
+                secrets[1] = PairSecret(mu=0.3, sigma2_pos=1.2, sigma2_neg=0.0)
+        grads = r.normal(0.0, 0.1, size=(K, d))
+        grads[K - 1] *= 50.0 / np.linalg.norm(grads[K - 1])  # must be clipped
+        plan = plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+        gen_kernel, gen_loop = rng(5), rng(5)
+        for _ in range(3):
+            est = simulate_round(grads, plan, gen_kernel)
+            ref = reference_round(grads, real, alloc, pairing, secrets, sigma_z2,
+                                  gen_loop, pre_equalized)
+            assert np.array_equal(est.s_hat, ref)
+        # both consumed the stream identically
+        assert gen_kernel.random() == gen_loop.random()
+        assert est.noise_stats is plan.noise_stats
+
+
 class TestBuildTransmit:
+    """The transmit step of the round kernel: sig_amp * s_k + noise_amp * n_k."""
+
     def test_gradient_part_is_m_times_s(self):
-        alloc = make_alloc([4.0], [1.0], L_s=1.0)  # m = 2
-        frame = build_transmit(np.array([1.0]), np.zeros(1), 0, alloc, np.array([4.0]))
-        assert frame.payload == pytest.approx([2.0])
+        alloc = make_alloc([4.0, 4.0], [1.0, 1.0], L_s=1.0)  # m = 2
+        est = simulate_round(np.array([[1.0], [0.0]]), make_plan([4.0, 4.0], alloc), rng())
+        assert received(est, alloc) == pytest.approx([2.0])
 
     def test_zero_inputs(self):
-        alloc = make_alloc([1.0], [1.0], beta=0.5)
-        frame = build_transmit(np.zeros(2), np.zeros(2), 0, alloc, np.array([1.0]))
-        assert np.array_equal(frame.payload, np.zeros(2))
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0], beta=0.5)
+        est = simulate_round(np.zeros((2, 2)), make_plan([1.0, 1.0], alloc), rng())
+        assert np.array_equal(est.s_hat, np.zeros(2))
 
     def test_noise_only_when_alpha_zero(self):
-        h2 = np.array([1.0])
+        h2 = [1.0, 4.0]
         alloc = PowerAllocation(
-            P=np.array([4.0]), alpha=np.array([0.0]), beta=np.array([1.0]),
+            P=np.array([4.0, 4.0]), alpha=np.zeros(2), beta=np.ones(2),
             m=1.0, L_s=1.0,
         )
-        frame = build_transmit(np.zeros(1), np.array([1.0]), 0, alloc, h2)
-        assert frame.payload == pytest.approx([2.0])  # |h| sqrt(beta P) n
+        secret = PairSecret(mu=1.0, sigma2_pos=0.0, sigma2_neg=0.0)
+        plan = make_plan(h2, alloc, [secret], pre_equalized=False)
+        est = simulate_round(np.array([[0.5], [-0.3]]), plan, rng())
+        # |h| sqrt(beta P) n: 2 * (+1) + 4 * (-1); the gradients do not enter
+        assert received(est, alloc) == pytest.approx([-2.0])
 
-    def test_unclipped_gradient_rejected(self):
-        alloc = make_alloc([1.0], [1.0])
-        with pytest.raises(ValueError, match="clip"):
-            build_transmit(np.array([2.0]), np.zeros(1), 0, alloc, np.array([1.0]))
+    def test_unclipped_gradient_is_clipped(self):
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
+        est = simulate_round(np.array([[2.0], [0.0]]), make_plan([1.0, 1.0], alloc), rng())
+        assert received(est, alloc) == pytest.approx([alloc.m * 1.0])
 
 
 class TestSuperpose:
+    """The superposition step of the round kernel: z plus every payload."""
+
     def test_sum_plus_noise(self):
-        frames = [TransmitFrame(np.array([1.0])), TransmitFrame(np.array([3.0]))]
-        assert superpose(frames, np.zeros(1)) == pytest.approx([4.0])
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])  # m = 1
+        plan = make_plan([1.0, 1.0], alloc, sigma_z2=1.0)
+        est = simulate_round(np.array([[0.25], [0.75]]), plan, rng(4))
+        z = awgn(1, 1.0, rng(4))
+        assert received(est, alloc) == pytest.approx(1.0 + z)
 
     def test_noise_floor_only(self):
-        z = np.array([0.7, -0.2])
-        frames = [TransmitFrame(np.zeros(2))]
-        assert np.array_equal(superpose(frames, z), z)
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
+        plan = make_plan([1.0, 1.0], alloc, sigma_z2=0.5)
+        est = simulate_round(np.zeros((2, 2)), plan, rng(6))
+        z = awgn(2, 0.5, rng(6))
+        assert np.array_equal(est.s_hat, z / (alloc.m * 2))
 
     def test_empty_frames_rejected(self):
+        empty = np.zeros(0)
+        alloc = PowerAllocation(P=empty, alpha=empty, beta=empty, m=1.0, L_s=1.0)
+        real = ChannelRealization(h2=empty, h2_ev=empty)
         with pytest.raises(ValueError, match="no transmitters"):
-            superpose([], np.zeros(1))
+            plan_link(real, alloc, Pairing(pairs=()), [], 0.0)
 
     def test_dimension_mismatch(self):
-        frames = [TransmitFrame(np.zeros(2)), TransmitFrame(np.zeros(3))]
-        with pytest.raises(ValueError, match="dimension"):
-            superpose(frames, np.zeros(2))
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
+        plan = make_plan([1.0, 1.0], alloc)
+        for bad in (np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                simulate_round(bad, plan, rng())
 
     def test_linearity(self):
+        alloc = make_alloc([1.0, 2.0, 0.5, 3.0], np.ones(4), L_s=10.0, beta=0.3,
+                           alpha_cap=0.5)
+        secrets = [PairSecret(1.0, 1.0, 2.0), PairSecret(0.5, 0.5, 0.5)]
+        plan = make_plan([1.0, 2.0, 0.5, 3.0], alloc, secrets, sigma_z2=1.0)
         r = rng(2)
-        a, b, z = r.normal(size=4), r.normal(size=4), r.normal(size=4)
-        joint = superpose([TransmitFrame(a), TransmitFrame(b)], z)
-        assert joint == pytest.approx(a + b + z)
-        scaled = superpose([TransmitFrame(2 * a)], np.zeros(4))
-        assert scaled == pytest.approx(2 * superpose([TransmitFrame(a)], np.zeros(4)))
+        a, b = r.normal(size=(4, 3)), r.normal(size=(4, 3))
+        base = simulate_round(np.zeros((4, 3)), plan, rng(8)).s_hat
+        joint = simulate_round(a + b, plan, rng(8)).s_hat - base
+        part_a = simulate_round(a, plan, rng(8)).s_hat - base
+        part_b = simulate_round(b, plan, rng(8)).s_hat - base
+        assert joint == pytest.approx(part_a + part_b)
+        assert joint == pytest.approx((a + b).mean(axis=0))
+        quiet = make_plan([1.0, 2.0, 0.5, 3.0], make_alloc([1.0, 2.0, 0.5, 3.0],
+                                                           np.ones(4), L_s=10.0))
+        scaled = simulate_round(2 * a, quiet, rng()).s_hat
+        assert scaled == pytest.approx(2 * simulate_round(a, quiet, rng()).s_hat)
+
+
+class TestLinkPlan:
+    def test_pairing_must_cover_every_user(self):
+        h2 = np.ones(4)
+        alloc = make_alloc(h2, np.ones(4))
+        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+        for pairs in (((0, 1),), ((0, 1), (2, 4))):
+            with pytest.raises(ValueError, match="perfect matching"):
+                plan_link(real, alloc, Pairing(pairs=pairs), [QUIET] * len(pairs), 0.0)
+
+    def test_one_secret_per_pair(self):
+        alloc = make_alloc([1.0, 1.0], np.ones(2))
+        with pytest.raises(ValueError, match="one secret per pair"):
+            make_plan([1.0, 1.0], alloc, [QUIET, QUIET])
+
+    def test_amplitudes(self):
+        h2 = np.array([1.0, 4.0])
+        alloc = make_alloc(h2, [1.0, 1.0], L_s=2.0, beta=0.5, alpha_cap=0.5)
+        plan = make_plan(h2, alloc, pre_equalized=True)
+        assert plan.sig_amp == pytest.approx([alloc.m, alloc.m])
+        assert plan.noise_amp == pytest.approx(np.sqrt(h2 * alloc.beta))
+        assert plan.noise_amp * plan.equalize == pytest.approx(np.full(2, plan.gains.min()))
 
 
 class TestPostprocess:
+    """The rescaling step of the round kernel: s_hat = r / (mK)."""
+
     def test_noiseless_equal_gains_mean(self):
-        h2 = np.array([1.0, 1.0])
-        alloc = make_alloc(h2, [1.0, 1.0])
-        frames = [
-            build_transmit(np.array([1.0]), np.zeros(1), 0, alloc, h2),
-            build_transmit(np.array([3.0]) / 3.0, np.zeros(1), 1, alloc, h2),
-        ]
-        # use s = [1] and [1] after clipping concerns; direct mean check below
-        est = postprocess(superpose(frames, np.zeros(1)), alloc.m, 2)
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
+        est = simulate_round(np.array([[1.0], [1.0]]), make_plan([1.0, 1.0], alloc), rng())
         assert est.s_hat == pytest.approx([1.0])
 
     def test_unequal_gains_alpha_restores_alignment(self):
-        h2 = np.array([4.0, 9.0])
+        h2 = [4.0, 9.0]
         alloc = make_alloc(h2, [1.0, 1.0], L_s=3.0)
-        s = [np.array([1.0]), np.array([3.0])]
-        frames = [build_transmit(s[k], np.zeros(1), k, alloc, h2) for k in range(2)]
-        est = postprocess(superpose(frames, np.zeros(1)), alloc.m, 2)
+        est = simulate_round(np.array([[1.0], [3.0]]), make_plan(h2, alloc), rng())
         assert est.s_hat == pytest.approx([2.0])
 
     def test_degenerate_alignment_rejected(self):
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="alignment"):
-            postprocess(np.zeros(1), 0.0, 2)
+            make_plan([1.0, 1.0], replace(alloc, m=0.0))
 
 
 class TestSimulateRound:
@@ -135,7 +279,8 @@ class TestSimulateRound:
     def test_noiseless_round_is_exact_mean(self):
         real, alloc, pairing, secrets = self.setup_scenario(beta=0.0)
         grads = np.array([[0.5, 0.1], [-0.3, 0.2]])
-        est = simulate_round(grads, real, alloc, pairing, secrets, 0.0, rng(1))
+        plan = plan_link(real, alloc, pairing, secrets, 0.0)
+        est = simulate_round(grads, plan, rng(1))
         assert est.s_hat == pytest.approx(grads.mean(axis=0), rel=1e-12)
 
     def test_monte_carlo_unbiased(self):
@@ -153,8 +298,9 @@ class TestSimulateRound:
         real, alloc, pairing, secrets = self.setup_scenario()
         grads = np.array([[0.2], [0.4]])
         n = 20000
+        plan = plan_link(real, alloc, pairing, secrets, 1.0)
         loop = np.array([
-            simulate_round(grads, real, alloc, pairing, secrets, 1.0, rng(100 + i)).s_hat[0]
+            simulate_round(grads, plan, rng(100 + i)).s_hat[0]
             for i in range(n)
         ])
         vec = simulate_aggregation_rounds(
@@ -187,11 +333,9 @@ class TestSimulateRound:
         real, alloc, pairing, secrets = self.setup_scenario(sigma=0.0)
         # zero variances: any residual mean comes from unequal noise gains
         grads = np.zeros((2, 1))
-        est = simulate_round(
-            grads, real, alloc, pairing, secrets, 0.0, rng(5), pre_equalized=False
-        )
+        raw = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=False)
+        est = simulate_round(grads, raw, rng(5))
         assert abs(est.s_hat[0]) > 0.01
-        est_eq = simulate_round(
-            grads, real, alloc, pairing, secrets, 0.0, rng(5), pre_equalized=True
-        )
+        equalized = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=True)
+        est_eq = simulate_round(grads, equalized, rng(5))
         assert est_eq.s_hat[0] == pytest.approx(0.0, abs=1e-12)

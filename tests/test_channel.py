@@ -60,6 +60,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChannelConfig(delta_h=-0.1)
 
+    @pytest.mark.parametrize("field", ["sigma_z2", "delta_h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChannelConfig(**{field: value})
+
+    def test_non_finite_fixed_gain_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, float("nan")))
+
     def test_fixed_mode_needs_gains(self):
         with pytest.raises(ValueError):
             ChannelConfig(fading_mode="fixed")
@@ -89,6 +99,12 @@ class TestAwgn:
 def test_db_to_linear():
     assert db_to_linear(30.0) == pytest.approx(1000.0)
     assert db_to_linear(0.0) == 1.0
+
+
+def test_sample_gains_draws_like_sample_channel():
+    # one Rayleigh draw serves both: same seed, same gains
+    cfg = ChannelConfig()
+    assert np.array_equal(sample_gains(cfg, 7, rng(4)), sample_channel(cfg, 7, rng(4)).h2)
 
 
 def test_sample_gains_matches_model():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,23 @@ class TestLoadConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             config_from_dict({"experiment": "fig9"})
+
+    def test_zero_n_seeds_rejected(self):
+        # n_seeds=0 once averaged over no runs and wrote NaN rows
+        with pytest.raises(ConfigError, match="n_seeds"):
+            config_from_dict({"experiment": "fig5", "n_seeds": 0})
+
+    @pytest.mark.parametrize("experiment", ["fig5", "train"])
+    def test_zero_T_rejected(self, experiment):
+        with pytest.raises(ConfigError, match="T must be at least 1"):
+            config_from_dict({"experiment": experiment, "T": 0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "10"), ("T", 2.5), ("n_seeds", True), ("seed", None),
+    ])
+    def test_mistyped_count_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            config_from_dict({"experiment": "fig5", key: value})
 
 
 class TestRunExperiment:
@@ -134,6 +152,30 @@ class TestRunExperiment:
         assert parsed == [tuple(float(v) for v in row) for row in rows]
 
 
+# sha256 of small seeded runs, recorded before the batched round kernel
+# replaced the per-user aggregation loop; any change to the RNG stream order
+# or to the float arithmetic of a round shows here
+SEEDED_CSV_SHA256 = {
+    "fig5": ({"experiment": "fig5", "n_seeds": 1, "T": 200, "k_grid": [2, 10],
+              "splits": [[0.5, 0.5], [0.3, 0.7]]},
+             "4aed198b1f5d70b219f3647a1f3901987dcbcd5c26df6710951ae188f0ff82ea"),
+    "train": ({"experiment": "train", "users": 6, "T": 300},
+              "7af5f9aba387772b004bde554b9b6f7097e84ef7ed9c16af80490a91804a6b91"),
+    "noise-check": ({"experiment": "noise-check", "users": 20, "samples": 100_000},
+                    "42643a81015cd3fdf5a998addb81c9c61f132d96dbbbcbd8240c2e9847b3f2d9"),
+    "fig3": ({"experiment": "fig3", "samples": 20_000},
+             "f3e7cc6cd3e9e345c01915c63940dcf0fe582d2badbeab6ba005df29ff1ff6d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CSV_SHA256))
+def test_seeded_csv_bytes_unchanged(name, tmp_path):
+    raw, digest = SEEDED_CSV_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    run_experiment(config_from_dict(dict(raw, seed=0, out=str(out))))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestCli:
     def test_runs_with_defaults(self, capsys):
         assert main(["fig3", "--samples", "200", "--seed", "1"]) == 0
@@ -154,3 +196,9 @@ class TestCli:
         path = write_config(tmp_path, {"experiment": "train", "users": 5})
         assert main(["train", "--config", path]) == 1
         assert "odd user count" in capsys.readouterr().err
+
+    def test_mistyped_field_is_one_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "fig3", "samples": "10"})
+        assert main(["fig3", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["airfl: error: samples must be an integer, got '10'"]

@@ -105,6 +105,15 @@ class TestComputeAlignment:
         with pytest.raises(ValueError, match="degenerate"):
             compute_alignment(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("h2, P", [
+        ([float("nan"), 1.0], [1.0, 1.0]),
+        ([1.0, float("inf")], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, float("nan")]),
+    ])
+    def test_non_finite_gain_rejected(self, h2, P):
+        with pytest.raises(ValueError, match="finite"):
+            compute_alignment(np.array(h2), np.array(P), 1.0)
+
 
 class TestOptimizeBetaDp:
     def test_weak_privacy_demand_needs_no_noise(self):
