@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .channel import ChannelRealization, awgn
+from .channel import (
+    ChannelRealization,
+    awgn,  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
+)
 from .pcran import (
     NoiseStats,
     Pairing,
@@ -42,6 +45,9 @@ class LinkPlan:
     factor target / gains_k applied to the drawn noise (1 where it does not
     apply).  mean and sd are each user's PCR-AN law from its pair role;
     drawn lists, in index order, the users whose noise variance is nonzero.
+    loc and scale are (rows, 1) columns of the Gaussian law of each row a
+    round draws: the drawn users' mean and sd, then N(0, sigma_z2) for the
+    receiver when sigma_z2 > 0.
     """
 
     sig_amp: np.ndarray
@@ -51,24 +57,27 @@ class LinkPlan:
     mean: np.ndarray
     sd: np.ndarray
     drawn: np.ndarray
+    loc: np.ndarray
+    scale: np.ndarray
     m: float
     L_s: float
     sigma_z2: float
     noise_stats: NoiseStats
 
 
-def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
+def clip_gradient(g: np.ndarray, L_s: float, out: np.ndarray | None = None) -> np.ndarray:
     """Scale each gradient (last axis of g) down to norm L_s if it exceeds it.
 
     The vector @ vector matmul runs np.linalg.norm's dot routine, so a (K, d)
     stack clips bit for bit like its rows one by one (an einsum norm sums in
-    another order); L_s / max(norm, L_s) is exactly 1 within the bound.
+    another order); L_s / max(norm, L_s) is exactly 1 within the bound.  The
+    result is written to out when one is given.
     """
     if L_s <= 0:
         raise ValueError("gradient-norm bound L_s must be positive")
     g = np.asarray(g, dtype=float)
     norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
-    return g * (L_s / np.maximum(norm, L_s))[..., None]
+    return np.multiply(g, (L_s / np.maximum(norm, L_s))[..., None], out=out)
 
 
 def plan_link(
@@ -94,6 +103,11 @@ def plan_link(
         raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
     if alloc.m <= 0:
         raise ValueError("degenerate alignment: m must be positive")
+    if not (np.isfinite(sigma_z2) and sigma_z2 >= 0):
+        raise ValueError(f"sigma_z2 must be finite and nonnegative, got {sigma_z2}")
+    beta = np.asarray(alloc.beta, dtype=float)
+    if not np.all(np.isfinite(beta) & (beta >= 0)):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     stats = aggregate_noise_stats(
         pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2,
         pre_equalized=pre_equalized,
@@ -107,14 +121,21 @@ def plan_link(
         mean[pos], var[pos] = secret.mu, secret.sigma2_pos
         mean[neg], var[neg] = -secret.mu, secret.sigma2_neg
     h = np.sqrt(h2)
+    sd = np.sqrt(var)
+    drawn = np.flatnonzero(var)
+    loc, scale = mean[drawn], sd[drawn]
+    if sigma_z2 > 0:  # the receiver's row comes after the users'
+        loc, scale = np.append(loc, 0.0), np.append(scale, np.sqrt(sigma_z2))
     return LinkPlan(
         sig_amp=h * np.sqrt(alloc.alpha * alloc.P) / alloc.L_s,
         noise_amp=h * np.sqrt(alloc.beta * alloc.P),
         gains=gains,
         equalize=equalize,
         mean=mean,
-        sd=np.sqrt(var),
-        drawn=np.flatnonzero(var),
+        sd=sd,
+        drawn=drawn,
+        loc=loc[:, None],
+        scale=scale[:, None],
         m=alloc.m,
         L_s=alloc.L_s,
         sigma_z2=sigma_z2,
@@ -127,25 +148,34 @@ def simulate_round(
 ) -> AggregateEstimate:
     """One full aggregation round: clip, add PCR-AN, superpose, rescale by 1/(mK).
 
-    gradients has shape (K, d).  Draws and float operations follow the
-    per-user order (user noise in index order, then receiver noise; the sum
-    starts from the receiver noise and adds users in index order), so a
+    gradients has shape (K, d).  The round reads the stream once: one
+    standard-normal block whose rows are the drawn users in index order,
+    then the receiver noise, scaled and shifted in place the way
+    Generator.normal computes loc + scale * n.  Float operations follow the
+    per-user order (payload sig_amp * s_k + noise_amp * equalize * n_k; the
+    sum starts from the receiver noise and adds users in index order), so a
     seeded run is reproducible bit for bit.
     """
     K = len(plan.sig_amp)
     if gradients.ndim != 2 or len(gradients) != K:
         raise ValueError(f"gradient shape {gradients.shape} does not fit a plan of K={K} users")
     d = gradients.shape[1]
-    noise = np.repeat(plan.mean[:, None], d, axis=1)
-    drawn = plan.drawn
-    noise[drawn] = rng.normal(
-        plan.mean[drawn, None], plan.sd[drawn, None], size=(len(drawn), d)
-    )
+    z = rng.standard_normal((len(plan.scale), d))
+    z *= plan.scale
+    z += plan.loc
+    n_drawn = len(plan.drawn)
+    if n_drawn == K:
+        noise = z[:K]
+    else:  # zero-variance users send their mean, drawing nothing
+        noise = np.repeat(plan.mean[:, None], d, axis=1)
+        noise[plan.drawn] = z[:n_drawn]
     noise *= plan.equalize[:, None]
+    noise *= plan.noise_amp[:, None]
     received = np.empty((K + 1, d))
-    received[0] = awgn(d, plan.sigma_z2, rng)
-    received[1:] = (plan.sig_amp[:, None] * clip_gradient(gradients, plan.L_s)
-                    + plan.noise_amp[:, None] * noise)
+    received[0] = z[n_drawn] if plan.sigma_z2 > 0 else 0.0
+    payload = clip_gradient(gradients, plan.L_s, out=received[1:])
+    payload *= plan.sig_amp[:, None]
+    payload += noise
     # accumulate adds strictly in row order: z, then users 0..K-1
     r = np.add.accumulate(received, axis=0)[-1]
     return AggregateEstimate(s_hat=r / (plan.m * K), noise_stats=plan.noise_stats)

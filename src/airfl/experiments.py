@@ -69,7 +69,6 @@ class ExperimentConfig:
     T: int = 1000
     reg_lambda: float = 1e-3
     n_per_user: int = 20
-    dp: dict | None = None
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -83,6 +82,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name not in ("seed", "users"):
                 raise ConfigError(f"{name} must be at least 1")
+        # power fractions: fig3/fig4 sweep alpha, train/fig5 cap it; beta is the noise share
+        fractions = (
+            ("alpha", (self.alpha, *self.alpha_grid, *(a for a, _ in self.splits))),
+            ("beta", (self.beta, *(b for _, b in self.splits))),
+        )
+        for name, values in fractions:
+            for value in values:
+                if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
+                        or not 0 <= value <= 1):
+                    raise ConfigError(f"{name} must be a finite value in [0, 1], got {value!r}")
         if self.experiment in ("train", "fig5", "noise-check") and self.users % 2 != 0:
             raise ConfigError(
                 f"odd user count K={self.users} is unsupported by the pairwise scheme"

@@ -8,6 +8,7 @@ computed from the generated data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +97,25 @@ def make_task(
     return SyntheticTask(U=U, V=V, reg_lambda=reg_lambda, mu=mu)
 
 
+def _residual(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
+    """Per-point residuals U @ w - V of every user, shape (K, n)."""
+    return task.U @ w - task.V
+
+
+def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> float:
+    # add.reduce / size is the sum and divide np.mean runs, minus its dispatch
+    reg = 0.5 * task.reg_lambda * float(w @ w)
+    return float(0.5 * (np.add.reduce(resid * resid, axis=None) / resid.size) + reg)
+
+
+def _gradients_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> np.ndarray:
+    n = task.U.shape[1]
+    return np.einsum("kn,knd->kd", resid, task.U) / n + task.reg_lambda * w
+
+
 def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
     """Mean per-point regularized squared error over the pooled dataset."""
-    resid = task.U @ w - task.V  # (K, n)
-    reg = 0.5 * task.reg_lambda * float(w @ w)
-    return float(0.5 * np.mean(resid**2) + reg)
+    return _loss_at(_residual(w, task), w, task)
 
 
 def local_gradient(
@@ -113,9 +128,7 @@ def local_gradient(
 
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
     """Stack of every user's local gradient, shape (K, d)."""
-    resid = task.U @ w - task.V  # (K, n)
-    n = task.U.shape[1]
-    return np.einsum("kn,knd->kd", resid, task.U) / n + task.reg_lambda * w
+    return _gradients_at(_residual(w, task), w, task)
 
 
 def optimal_model(task: SyntheticTask) -> np.ndarray:
@@ -215,21 +228,23 @@ def train_over_air(
     state = TrainState(w=w, t=0, eta=0.0)
     w_star = optimal_model(task)
     f_star = global_loss(w_star, task)
+    # one residual per round serves the loss at w_t and round t+1's gradients
+    resid = _residual(state.w, task)
     # the 1/(lam t) schedule makes a large t=1 step intrinsic, so the
     # divergence guard anchors at the post-first-step loss
-    guard_ref = global_loss(state.w, task)
+    guard_ref = _loss_at(resid, state.w, task)
 
     for t in range(1, settings.T + 1):
-        grads = all_local_gradients(state.w, task)
-        est = simulate_round(grads, plan, rng)
+        est = simulate_round(_gradients_at(resid, state.w, task), plan, rng)
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * est.s_hat
         state.t, state.eta = t, eta
         state.shat_sq_sum += float(est.s_hat @ est.s_hat)
-        loss = global_loss(state.w, task)
+        resid = _residual(state.w, task)
+        loss = _loss_at(resid, state.w, task)
         state.loss_history.append(loss)
         state.gap_history.append(loss - f_star)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
         if t == 1:
             guard_ref = max(guard_ref, loss)

@@ -238,6 +238,19 @@ class TestLinkPlan:
         with pytest.raises(ValueError, match="one secret per pair"):
             make_plan([1.0, 1.0], alloc, [QUIET, QUIET])
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_beta_must_be_finite_and_nonnegative(self, bad):
+        alloc = make_alloc([1.0, 4.0], np.ones(2), beta=0.5, alpha_cap=0.5)
+        alloc = replace(alloc, beta=np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="beta"):
+            make_plan([1.0, 4.0], alloc)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_sigma_z2_must_be_finite_and_nonnegative(self, bad):
+        alloc = make_alloc([1.0, 1.0], np.ones(2))
+        with pytest.raises(ValueError, match="sigma_z2"):
+            make_plan([1.0, 1.0], alloc, sigma_z2=bad)
+
     def test_amplitudes(self):
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=2.0, beta=0.5, alpha_cap=0.5)

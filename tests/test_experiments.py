@@ -73,6 +73,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             config_from_dict({"experiment": "fig5", key: value})
 
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "train", "beta": -1.0},
+        {"experiment": "train", "beta": 1.5},
+        {"experiment": "train", "beta": float("nan")},
+        {"experiment": "fig5", "splits": [[0.5, -0.1]]},
+        {"experiment": "fig5", "splits": [[0.5, 0.5], [0.3, float("inf")]]},
+    ])
+    def test_beta_outside_unit_interval_rejected(self, raw):
+        # beta=-1 once ran into sqrt warnings and "training diverged"
+        with pytest.raises(ConfigError, match="beta must be a finite value in"):
+            config_from_dict(dict(raw, T=5))
+
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "fig3", "alpha_grid": [2.0]},
+        {"experiment": "fig3", "alpha_grid": [0.0, -0.1]},
+        {"experiment": "fig3", "alpha_grid": [float("nan")]},
+        {"experiment": "fig4", "alpha": 1.5},
+        {"experiment": "train", "alpha": float("-inf")},
+    ])
+    def test_alpha_outside_unit_interval_rejected(self, raw):
+        # alpha_grid [2.0] once wrote secrecy rows for alpha = 2
+        with pytest.raises(ConfigError, match="alpha must be a finite value in"):
+            config_from_dict(raw)
+
+    def test_dp_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict({"experiment": "fig5", "dp": {"epsilon": 1.0}})
+
 
 class TestRunExperiment:
     def test_fig3_alpha_zero_rows_are_zero(self):
@@ -202,3 +230,13 @@ class TestCli:
         assert main(["fig3", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["airfl: error: samples must be an integer, got '10'"]
+
+    def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],
+                                       "samples": 100})
+        assert main(["fig3", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "airfl: error: alpha must be a finite value in [0, 1], got 2.0"
+        ]

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from airfl.channel import ChannelConfig
+from airfl import fl_core
+from airfl.aircomp import plan_link, simulate_round
+from airfl.channel import ChannelConfig, sample_channel
 from airfl.fl_core import (
     BoundInputs,
     TrainSettings,
@@ -14,6 +18,7 @@ from airfl.fl_core import (
     optimal_model,
     train_over_air,
 )
+from airfl.pcran import PowerAllocation, compute_alignment, draw_secrets, form_pairs
 
 
 def rng(seed=0):
@@ -139,7 +144,55 @@ class TestConvergenceBound:
             convergence_bound(BoundInputs(T=1, m=1.0, K=0, **good))
 
 
+def secrets_with_quiet_first_pair(n_pairs, mu_range, sigma2_range, gen):
+    """draw_secrets, then zero the first pair's variances (it draws nothing)."""
+    secrets = draw_secrets(n_pairs, mu_range, sigma2_range, gen)
+    secrets[0] = replace(secrets[0], sigma2_pos=0.0, sigma2_neg=0.0)
+    return secrets
+
+
+def reference_train(task, chan, settings, gen, secret_draw):
+    """train_over_air spelled out with the public per-round functions: every
+    round evaluates the gradients and the loss from scratch."""
+    K = task.K
+    real = sample_channel(chan, K, gen)
+    P = np.full(K, settings.power)
+    m, alpha = compute_alignment(real.h2, P, settings.L_s, alpha_cap=settings.alpha_cap)
+    beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
+    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
+    pairing = form_pairs(K, gen)
+    secrets = secret_draw(K // 2, settings.mu_range, settings.sigma2_range, gen)
+    plan = plan_link(real, alloc, pairing, secrets, chan.sigma_z2, settings.pre_equalized)
+    f_star = global_loss(optimal_model(task), task)
+    w = np.zeros(task.d)
+    losses, gaps = [], []
+    for t in range(1, settings.T + 1):
+        s_hat = simulate_round(all_local_gradients(w, task), plan, gen).s_hat
+        w = w - 1.0 / (task.reg_lambda * t) * s_hat
+        loss = global_loss(w, task)
+        losses.append(loss)
+        gaps.append(loss - f_star)
+    return w, losses, gaps
+
+
 class TestTrainOverAir:
+    @pytest.mark.parametrize("K", [2, 6])
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    @pytest.mark.parametrize("quiet_pair", [False, True])
+    def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet_pair, monkeypatch):
+        secret_draw = secrets_with_quiet_first_pair if quiet_pair else draw_secrets
+        monkeypatch.setattr(fl_core, "draw_secrets", secret_draw)
+        task = small_task(12, K=K, n=8, d=5, lam=0.1)
+        settings = TrainSettings(T=40, power=100.0, beta=0.5, sigma2_range=(0.5, 2.0))
+        chan = ChannelConfig(sigma_z2=sigma_z2)
+        gen_train, gen_ref = rng(13), rng(13)
+        state, _ = train_over_air(task, chan, settings, gen_train)
+        w, losses, gaps = reference_train(task, chan, settings, gen_ref, secret_draw)
+        assert np.array_equal(state.loss_history, losses)
+        assert np.array_equal(state.gap_history, gaps)
+        assert np.array_equal(state.w, w)
+        assert gen_train.bit_generator.state == gen_ref.bit_generator.state
+
     def noiseless_settings(self, T=200):
         return TrainSettings(T=T, L_s=1.0, power=1.0, alpha_cap=1.0, beta=0.0)
 
