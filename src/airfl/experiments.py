@@ -82,23 +82,34 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name not in ("seed", "users"):
                 raise ConfigError(f"{name} must be at least 1")
-        # power fractions: fig3/fig4 sweep alpha, train/fig5 cap it; beta is the noise share
-        fractions = (
-            ("alpha", (self.alpha, *self.alpha_grid, *(a for a, _ in self.splits))),
-            ("beta", (self.beta, *(b for _, b in self.splits))),
+        unit = ("a finite value in [0, 1]", lambda v: 0 <= v <= 1)
+        positive = ("a finite positive value", lambda v: v > 0)
+        nonnegative = ("a finite nonnegative value", lambda v: v >= 0)
+        finite = ("a finite value", lambda v: True)
+        reals = (
+            # power fractions: fig3/fig4 sweep alpha, train/fig5 cap it; beta is the noise share
+            ("alpha", (self.alpha, *self.alpha_grid, *(a for a, _ in self.splits)), unit),
+            ("beta", (self.beta, *(b for _, b in self.splits)), unit),
+            ("L_s", (self.L_s,), positive),
+            ("sigma_z2", (self.sigma_z2,), nonnegative),
+            ("delta_h_values", self.delta_h_values, nonnegative),
+            ("powers_db", self.powers_db, finite),
+            ("sigma_a2_db", (self.sigma_a2_db,), finite),
+            ("sigma_A2_db_grid", self.sigma_A2_db_grid, finite),
         )
-        for name, values in fractions:
+        for name, values, (requirement, in_range) in reals:
             for value in values:
                 if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
-                        or not 0 <= value <= 1):
-                    raise ConfigError(f"{name} must be a finite value in [0, 1], got {value!r}")
+                        or not np.isfinite(value) or not in_range(value)):
+                    raise ConfigError(f"{name} must be {requirement}, got {value!r}")
         if self.experiment in ("train", "fig5", "noise-check") and self.users % 2 != 0:
             raise ConfigError(
                 f"odd user count K={self.users} is unsupported by the pairwise scheme"
             )
         if self.experiment == "fig5" and any(k % 2 for k in self.k_grid):
             raise ConfigError("every K in k_grid must be even")
-        if not self.alpha_grid or not self.powers_db or not self.sigma_A2_db_grid:
+        if not (self.alpha_grid and self.powers_db and self.sigma_A2_db_grid
+                and self.delta_h_values):
             raise ConfigError("sweep grids must be nonempty")
 
 

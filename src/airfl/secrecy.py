@@ -7,6 +7,7 @@ common random numbers across sweep points.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -64,17 +65,16 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     )
 
 
-def _capacity_vec(S: float, h2: np.ndarray, noise: float) -> np.ndarray:
-    return np.log2(S * h2 + noise) - np.log2(noise)
-
-
 @dataclass(frozen=True)
 class SecrecySweep:
     """Grid of sweep coordinates for the Monte Carlo engine.
 
     Every combination of (alpha, power, delta_h, sigma_A2) is evaluated over
     the same fading draws (common random numbers).  sigma_zprime2 for each
-    point is m_factor^2 * sigma_A2 + sigma_z2.
+    point is m_factor^2 * sigma_A2 + sigma_z2.  Construction rejects a
+    non-finite value, an alpha outside [0, 1], L_s <= 0, a negative sigma_z2
+    or delta_h, and a point whose residual or eavesdropper noise is not
+    positive, any of which would turn the means into NaN or leave the model.
     """
 
     alpha_grid: tuple[float, ...]
@@ -88,6 +88,41 @@ class SecrecySweep:
     fading: ChannelConfig = field(
         default_factory=lambda: ChannelConfig(fading_mode="rayleigh")
     )
+
+    def __post_init__(self) -> None:
+        grids = {
+            "alpha_grid": self.alpha_grid,
+            "power_db_grid": self.power_db_grid,
+            "delta_h_grid": self.delta_h_grid,
+            "sigma_A2_db_grid": self.sigma_A2_db_grid,
+        }
+        if not all(grids.values()):
+            raise ValueError("empty sweep grid")
+        scalars = {name: (getattr(self, name),)
+                   for name in ("sigma_a2_db", "sigma_z2", "L_s", "m_factor")}
+        for name, values in {**grids, **scalars}.items():
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values}")
+        if not all(0 <= a <= 1 for a in self.alpha_grid):
+            raise ValueError(f"alpha_grid values must lie in [0, 1], got {self.alpha_grid}")
+        if self.L_s <= 0:
+            raise ValueError(f"L_s must be positive, got {self.L_s}")
+        if self.sigma_z2 < 0:
+            raise ValueError(f"sigma_z2 must be nonnegative, got {self.sigma_z2}")
+        if any(dh < 0 for dh in self.delta_h_grid):
+            raise ValueError(f"delta_h_grid values must be nonnegative, got {self.delta_h_grid}")
+        if any(self.residual_noise(s) <= 0 for s in self.sigma_A2_db_grid):
+            raise ValueError("residual noise variance sigma_zprime2 must be positive")
+        if self.eavesdropper_noise() <= 0:
+            raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
+
+    def residual_noise(self, sigma_A2_db: float) -> float:
+        """The server's sigma_zprime2 = m_factor^2 * sigma_A2 + sigma_z2."""
+        return self.m_factor**2 * db_to_linear(sigma_A2_db) + self.sigma_z2
+
+    def eavesdropper_noise(self) -> float:
+        """The eavesdropper's noise sigma_z2 + sigma_a2 (no cancellation)."""
+        return self.sigma_z2 + db_to_linear(self.sigma_a2_db)
 
 
 @dataclass(frozen=True)
@@ -103,6 +138,39 @@ class SweepResult:
     mean_c_ev: float
 
 
+# leaf size of the blocked sweep: a few float64 buffers of this length stay
+# in cache while every sweep point is evaluated on them
+_BLOCK = 16384
+
+
+def _tree_split(n: int) -> int:
+    """Where numpy's pairwise float sum splits a run of n > 128 elements."""
+    half = n // 2
+    return half - half % 8
+
+
+def _tree_blocks(n: int, start: int = 0) -> list[slice]:
+    """The nodes of numpy's pairwise-summation tree over n elements that hold
+    at most _BLOCK elements, left to right."""
+    if n <= _BLOCK:
+        return [slice(start, start + n)]
+    half = _tree_split(n)
+    return _tree_blocks(half, start) + _tree_blocks(n - half, start + half)
+
+
+def _tree_sum(leaf_sums: Iterator, n: int):
+    """Add the sums of the _tree_blocks(n) leaves, in that order, up the tree.
+
+    Equals np.add.reduce over the n elements bit for bit, because each leaf
+    sum is the subtree numpy itself would compute there.
+    """
+    if n <= _BLOCK:
+        return next(leaf_sums)
+    half = _tree_split(n)
+    left = _tree_sum(leaf_sums, half)
+    return left + _tree_sum(leaf_sums, n - half)
+
+
 def monte_carlo_secrecy(
     sweep: SecrecySweep, n_samples: int, seed: int
 ) -> list[SweepResult]:
@@ -110,33 +178,72 @@ def monte_carlo_secrecy(
 
     Deterministic given the seed; all sweep points share one set of channel
     draws so monotonicity comparisons are paired.
+
+    The sample axis is walked in cache-sized blocks, the leaves of numpy's
+    pairwise-summation tree (_tree_blocks), and every point is evaluated on
+    a block before the next block is read.  Per block, max(h2 - delta_h, 0)
+    is computed once per distinct delta_h and c_s once per run of points
+    that share (S, sigma_zprime2); c_ev and c are computed per point.  The
+    values go through the same float operations in the same order as the
+    full-array formulas (S*h2, + noise, log2, - log2(noise); c_s - c_ev,
+    max(., 0)), each block is reduced with np.add.reduce, and the block sums
+    are added up the same tree (_tree_sum) and divided by n.  That is the
+    sum and divide that ndarray.mean runs, so every mean equals the
+    full-array mean bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not (sweep.alpha_grid and sweep.power_db_grid
-            and sweep.delta_h_grid and sweep.sigma_A2_db_grid):
-        raise ValueError("empty sweep grid")
     rng = np.random.default_rng(seed)
     h2 = sample_gains(sweep.fading, n_samples, rng)
-    sigma_a2 = db_to_linear(sweep.sigma_a2_db)
-    ev_noise = sweep.sigma_z2 + sigma_a2
+    ev_noise = sweep.eavesdropper_noise()
+    log2_ev_noise = np.log2(ev_noise)
+    delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
 
-    results = []
-    for alpha, p_db, delta_h, sA2_db in product(
+    coords = list(product(
         sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
-    ):
-        P = db_to_linear(p_db)
-        S = np.sqrt(alpha * P) / sweep.L_s
-        sigma_zprime2 = sweep.m_factor**2 * db_to_linear(sA2_db) + sweep.sigma_z2
-        h2_ev = np.maximum(h2 - delta_h, 0.0)
-        c_s = _capacity_vec(S, h2, sigma_zprime2)
-        c_ev = _capacity_vec(S, h2_ev, ev_noise)
-        c = np.maximum(c_s - c_ev, 0.0)
-        results.append(
-            SweepResult(
-                alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
-                mean_c=float(c.mean()), mean_c_s=float(c_s.mean()),
-                mean_c_ev=float(c_ev.mean()),
-            )
+    ))
+    points = []  # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s)
+    last = None
+    for alpha, p_db, delta_h, sA2_db in coords:
+        S = np.sqrt(alpha * db_to_linear(p_db)) / sweep.L_s
+        sigma_zprime2 = sweep.residual_noise(sA2_db)
+        points.append((S, sigma_zprime2, np.log2(sigma_zprime2),
+                       delta_hs.index(delta_h), (S, sigma_zprime2) != last))
+        last = (S, sigma_zprime2)
+
+    buf = np.empty((len(delta_hs) + 3, min(n_samples, _BLOCK)))
+    leaf_sums = []
+    for block in _tree_blocks(n_samples):
+        x = h2[block]
+        width = x.size
+        h2_ev = buf[:len(delta_hs), :width]
+        c_s, c_ev, c = buf[len(delta_hs):, :width]
+        for row, delta_h in zip(h2_ev, delta_hs):
+            np.subtract(x, delta_h, out=row)
+            np.maximum(row, 0.0, out=row)
+        sums = []
+        for S, sigma_zprime2, log2_szp2, j, new_c_s in points:
+            if new_c_s:
+                np.multiply(S, x, out=c_s)
+                c_s += sigma_zprime2
+                np.log2(c_s, out=c_s)
+                c_s -= log2_szp2
+                sum_c_s = np.add.reduce(c_s)
+            np.multiply(S, h2_ev[j], out=c_ev)
+            c_ev += ev_noise
+            np.log2(c_ev, out=c_ev)
+            c_ev -= log2_ev_noise
+            np.subtract(c_s, c_ev, out=c)
+            np.maximum(c, 0.0, out=c)
+            sums.append((np.add.reduce(c), sum_c_s, np.add.reduce(c_ev)))
+        leaf_sums.append(sums)
+    means = _tree_sum(iter(np.array(leaf_sums)), n_samples) / n_samples
+
+    return [
+        SweepResult(
+            alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
+            mean_c=float(mean_c), mean_c_s=float(mean_c_s), mean_c_ev=float(mean_c_ev),
         )
-    return results
+        for (alpha, p_db, delta_h, sA2_db), (mean_c, mean_c_s, mean_c_ev)
+        in zip(coords, means)
+    ]

@@ -97,6 +97,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="alpha must be a finite value in"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("L_s", 0.0, "L_s must be a finite positive value"),
+        ("L_s", float("inf"), "L_s must be a finite positive value"),
+        ("sigma_z2", -1.0, "sigma_z2 must be a finite nonnegative value"),
+        ("sigma_z2", float("nan"), "sigma_z2 must be a finite nonnegative value"),
+        ("sigma_a2_db", float("nan"), "sigma_a2_db must be a finite value"),
+        ("powers_db", [float("inf")], "powers_db must be a finite value"),
+        ("powers_db", [25.0, "30"], "powers_db must be a finite value"),
+        ("sigma_A2_db_grid", [float("-inf")], "sigma_A2_db_grid must be a finite value"),
+        ("delta_h_values", [-1.0], "delta_h_values must be a finite nonnegative value"),
+        ("delta_h_values", [float("nan")], "delta_h_values must be a finite nonnegative value"),
+        ("delta_h_values", [], "sweep grids must be nonempty"),
+    ])
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4"])
+    def test_secrecy_field_out_of_range_rejected(self, experiment, key, value, message):
+        # L_s=0, sigma_z2=-1, sigma_a2_db=NaN and powers_db=[inf] once wrote
+        # NaN rows without an error
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"experiment": experiment, "samples": 100, key: value})
+
     def test_dp_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"experiment": "fig5", "dp": {"epsilon": 1.0}})
@@ -193,6 +213,12 @@ SEEDED_CSV_SHA256 = {
                     "42643a81015cd3fdf5a998addb81c9c61f132d96dbbbcbd8240c2e9847b3f2d9"),
     "fig3": ({"experiment": "fig3", "samples": 20_000},
              "f3e7cc6cd3e9e345c01915c63940dcf0fe582d2badbeab6ba005df29ff1ff6d6"),
+    # recorded before the cache-blocked secrecy sweep; 50 001 samples span
+    # several sum-tree blocks and end on a length that is not a multiple of 8
+    "fig4": ({"experiment": "fig4", "samples": 20_000},
+             "b38f6af793f3b9c5a3d73f0b94d2aac18b08a04edbd8117fac328ee2b810f008"),
+    "fig3-unaligned": ({"experiment": "fig3", "samples": 50_001},
+                       "f378ca4140fd9318eb839f9319b8b2cdc8debf46edf46c00eb357981b93444af"),
 }
 
 
@@ -230,6 +256,15 @@ class TestCli:
         assert main(["fig3", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["airfl: error: samples must be an integer, got '10'"]
+
+    def test_zero_path_loss_is_one_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "fig3", "L_s": 0.0, "samples": 100})
+        assert main(["fig3", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "airfl: error: L_s must be a finite positive value, got 0.0"
+        ]
 
     def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],

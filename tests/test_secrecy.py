@@ -1,10 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from airfl.channel import ChannelConfig
+from airfl.channel import ChannelConfig, db_to_linear, sample_gains
 from airfl.secrecy import (
     SecrecyInputs,
     SecrecySweep,
+    SweepResult,
+    _tree_blocks,
+    _tree_sum,
     monte_carlo_secrecy,
     secrecy_point,
 )
@@ -86,8 +91,6 @@ class TestMonteCarloSecrecy:
             fading=ChannelConfig(fading_mode="fixed", fixed_gains=(2.0,)),
         )
         res = monte_carlo_secrecy(sweep, 100, seed=2)[0]
-        from airfl.channel import db_to_linear
-
         expected = secrecy_point(SecrecyInputs(
             alpha_a=0.25, P_a=db_to_linear(10.0), L_s=1.0, h2_a=2.0, h2_ev=1.5,
             sigma_z2=1.0, sigma_a2=db_to_linear(25.0),
@@ -122,3 +125,109 @@ class TestMonteCarloSecrecy:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             monte_carlo_secrecy(base_sweep(), 0, seed=0)
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize("kw", [
+        {"alpha_grid": (-0.1,)},
+        {"alpha_grid": (0.2, 1.5)},
+        {"alpha_grid": (float("nan"),)},
+        {"power_db_grid": (float("inf"),)},
+        {"power_db_grid": (30.0, float("nan"))},
+        {"delta_h_grid": (-1.0,)},
+        {"delta_h_grid": (float("inf"),)},
+        {"sigma_A2_db_grid": (float("nan"),)},
+        {"sigma_a2_db": float("nan")},
+        {"sigma_z2": -1.0},
+        {"sigma_z2": float("inf")},
+        {"L_s": 0.0},
+        {"L_s": -1.0},
+        {"L_s": float("inf")},
+        {"m_factor": float("nan")},
+    ])
+    def test_bad_value_rejected(self, kw):
+        # each of these once gave NaN or out-of-model means without an error
+        with pytest.raises(ValueError):
+            base_sweep(**kw)
+
+    def test_zero_residual_noise_rejected(self):
+        with pytest.raises(ValueError, match="sigma_zprime2"):
+            base_sweep(sigma_z2=0.0, m_factor=0.0)
+
+    def test_zero_eavesdropper_noise_rejected(self):
+        # 10^(-400) underflows to 0, so the eavesdropper would see no noise
+        with pytest.raises(ValueError, match="eavesdropper"):
+            base_sweep(sigma_z2=0.0, sigma_a2_db=-4000.0)
+
+    def test_noiseless_receiver_allowed(self):
+        assert len(monte_carlo_secrecy(base_sweep(sigma_z2=0.0), 10, seed=0)) == 44
+
+
+def reference_sweep(sweep, n_samples, seed):
+    """The per-point full-array loop the blocked engine replaced."""
+    rng = np.random.default_rng(seed)
+    h2 = sample_gains(sweep.fading, n_samples, rng)
+    ev_noise = sweep.sigma_z2 + db_to_linear(sweep.sigma_a2_db)
+    results = []
+    for alpha, p_db, delta_h, sA2_db in product(
+        sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
+    ):
+        S = np.sqrt(alpha * db_to_linear(p_db)) / sweep.L_s
+        sigma_zprime2 = sweep.m_factor**2 * db_to_linear(sA2_db) + sweep.sigma_z2
+        h2_ev = np.maximum(h2 - delta_h, 0.0)
+        c_s = np.log2(S * h2 + sigma_zprime2) - np.log2(sigma_zprime2)
+        c_ev = np.log2(S * h2_ev + ev_noise) - np.log2(ev_noise)
+        c = np.maximum(c_s - c_ev, 0.0)
+        results.append(SweepResult(
+            alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
+            mean_c=float(c.mean()), mean_c_s=float(c_s.mean()),
+            mean_c_ev=float(c_ev.mean()),
+        ))
+    return results
+
+
+# n around the block size and the 8-element split alignment of the sum tree
+TREE_LENGTHS = (1, 7, 128, 129, 16384, 16385, 50_001, 123_457)
+
+EXACT_SWEEPS = {
+    "fig3": base_sweep(),
+    "fig4": SecrecySweep(
+        alpha_grid=(0.5,),
+        power_db_grid=tuple(float(p) for p in range(0, 31, 5)),
+        delta_h_grid=(1.0,),
+        sigma_A2_db_grid=(0.0, 5.0, 10.0, 15.0, 20.0),
+    ),
+    # repeated and non-adjacent alpha and delta_h values, several sigma_A2
+    "mixed": SecrecySweep(
+        alpha_grid=(0.3, 0.0, 0.3, 1.0),
+        power_db_grid=(10.0, 30.0),
+        delta_h_grid=(0.5, 0.0, 0.5, 2.0),
+        sigma_A2_db_grid=(0.0, 10.0, 0.0),
+        sigma_a2_db=20.0,
+        sigma_z2=0.5,
+        L_s=2.0,
+        m_factor=2.0,
+    ),
+}
+
+
+class TestBlockedEngineExact:
+    @pytest.mark.parametrize("n", TREE_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(EXACT_SWEEPS))
+    def test_matches_full_array_loop(self, name, n):
+        sweep = EXACT_SWEEPS[name]
+        assert monte_carlo_secrecy(sweep, n, seed=n) == reference_sweep(sweep, n, seed=n)
+
+    def test_fixed_gain_matches_full_array_loop(self):
+        sweep = base_sweep(fading=ChannelConfig(fading_mode="fixed", fixed_gains=(1.5,)))
+        assert monte_carlo_secrecy(sweep, 40_000, 0) == reference_sweep(sweep, 40_000, 0)
+
+    @pytest.mark.parametrize("n", TREE_LENGTHS + (3 * 10**6,))
+    def test_tree_sum_matches_add_reduce(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 1e3
+        blocks = _tree_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        leaf_sums = [np.add.reduce(x[b]) for b in blocks]
+        assert _tree_sum(iter(leaf_sums), n) == np.add.reduce(x)
+        assert _tree_sum(iter(leaf_sums), n) / n == x.mean()
