@@ -15,8 +15,18 @@ import numpy as np
 from numpy.random import Generator
 
 
+# Largest dB value whose linear power is a finite float (about 3082.5 dB).
+# 10*log10 of the largest float rounds up to a value that overflows, so the
+# limit is the float just below it.
+MAX_DB = float(np.nextafter(10.0 * np.log10(np.finfo(float).max), 0.0))
+
+
 def db_to_linear(db: float) -> float:
-    """Convert a dB power quantity to linear scale: 10^(db/10)."""
+    """Convert a dB power quantity to linear scale: 10^(db/10).
+
+    Values above MAX_DB overflow to inf with a numpy warning; callers that
+    take dB values from outside reject them first.
+    """
     return float(10.0 ** (np.asarray(db) / 10.0))
 
 

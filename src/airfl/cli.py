@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiments import (
-    EXPERIMENTS,
+    SCHEMAS,
     ConfigError,
     config_from_dict,
     load_config,
@@ -20,11 +20,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Over-the-air federated learning simulator and analysis tool",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, schema in SCHEMAS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument("--samples", type=int, help="override the Monte Carlo sample count")
+        if "samples" in {f.name for f in fields(schema)}:
+            p.add_argument("--samples", type=int,
+                           help="override the Monte Carlo sample count")
         p.add_argument("--out", help="CSV output path")
     return parser
 
@@ -43,13 +45,14 @@ def main(argv: list[str] | None = None) -> int:
             config = config_from_dict({"experiment": args.experiment})
         overrides = {
             k: v
-            for k, v in (("seed", args.seed), ("samples", args.samples), ("out", args.out))
-            if v is not None
+            for k in ("seed", "samples", "out")
+            if (v := getattr(args, k, None)) is not None
         }
         if overrides:
+            # replace() runs the schema's field checks on the new values
             config = replace(config, **overrides)
         header, rows = run_experiment(config)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"airfl: error: {exc}", file=sys.stderr)
         return 1
     if config.out:

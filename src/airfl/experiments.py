@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .aircomp import simulate_aggregation_rounds
-from .channel import ChannelConfig, db_to_linear, sample_channel
+from .channel import MAX_DB, ChannelConfig, db_to_linear, sample_channel
 from .fl_core import (
     TrainSettings,
     convergence_bound,
@@ -31,100 +33,235 @@ from .pcran import (
 )
 from .secrecy import SecrecySweep, monte_carlo_secrecy
 
-EXPERIMENTS = ("fig3", "fig4", "fig5", "train", "noise-check")
-
 
 class ConfigError(ValueError):
     """Raised when an experiment configuration is missing or malformed."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated configuration for one experiment run.
+def _is_real(value) -> bool:
+    """True for a finite int or float (a bool is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
-    Defaults follow the reference operating point: unit channel noise,
-    unit gradient-norm bound, artificial-noise power 25 dB, transmit power
-    30 dB, d = 30, T = 1000, reg_lambda = 1e-3.
+
+def _real(requirement: str, in_range):
+    def check(name, value):
+        if not (_is_real(value) and in_range(value)):
+            raise ConfigError(f"{name} must be {requirement}, got {value!r}")
+        return value
+    return check
+
+
+def _count(minimum: int):
+    def check(name, value):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        return value
+    return check
+
+
+def _user_count(name, value):
+    _count(2)(name, value)
+    if value % 2:
+        raise ConfigError(
+            f"{name}: odd user count K={value} is unsupported by the pairwise scheme"
+        )
+    return value
+
+
+def _grid(entry, label: str | None = None):
+    """A nonempty list checked entry by entry (named `label`), kept as a tuple."""
+    def check(name, value):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"sweep grids must be nonempty, but {name} is empty")
+        return tuple(entry(label or name, v) for v in value)
+    return check
+
+
+def _path(name, value):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+_UNIT = _real("a finite value in [0, 1]", lambda v: 0 <= v <= 1)
+_POSITIVE = _real("a finite positive value", lambda v: v > 0)
+_NONNEGATIVE = _real("a finite nonnegative value", lambda v: v >= 0)
+# a larger dB value overflows to an infinite linear power
+_DB = _real(f"a finite value at most {MAX_DB} dB", lambda v: v <= MAX_DB)
+
+
+def _split(name, value):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(
+            f"each {name} entry must be an [alpha_cap, beta] pair, got {value!r}"
+        )
+    return _UNIT("alpha", value[0]), _UNIT("beta", value[1])
+
+
+def _splits(name, value):
+    splits = _grid(_split)(name, value)
+    betas = [beta for _, beta in splits]
+    if len(set(betas)) != len(betas):
+        raise ConfigError(
+            f"{name} repeat a beta in {betas}; fig5 rows keyed by (t, K, beta) would collide"
+        )
+    return splits
+
+
+# One rule per config field: (field name, value) -> the value to store.
+_RULES = {
+    "seed": _count(0),
+    "out": _path,
+    "samples": _count(1),
+    "n_seeds": _count(1),
+    "d": _count(1),
+    "T": _count(1),
+    "n_per_user": _count(1),
+    "users": _user_count,
+    "k_grid": _grid(_user_count),
+    "splits": _splits,
+    "alpha": _UNIT,
+    "beta": _UNIT,
+    "alpha_grid": _grid(_UNIT, "alpha"),
+    "powers_db": _grid(_DB),
+    "sigma_A2_db_grid": _grid(_DB),
+    "sigma_a2_db": _DB,
+    "delta_h_values": _grid(_NONNEGATIVE),
+    "sigma_z2": _NONNEGATIVE,
+    "L_s": _POSITIVE,
+    "reg_lambda": _POSITIVE,
+}
+
+
+@dataclass(frozen=True)
+class _Config:
+    """Fields every experiment reads; each field is checked by its _RULES entry.
+
+    Defaults follow the reference operating point: unit channel noise, unit
+    gradient-norm bound, transmit power 30 dB.  A field named in `one_entry`
+    is a list the runner reads only at [0], so it must hold exactly one entry.
     """
 
-    experiment: str
+    experiment: ClassVar[str]
+    one_entry: ClassVar[tuple[str, ...]] = ()
+
     seed: int = 0
+    out: str | None = None
+    powers_db: tuple[float, ...] = (30.0,)
+    sigma_z2: float = 1.0
+    L_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = _RULES[f.name](f.name, getattr(self, f.name))
+            if f.name in self.one_entry and len(value) != 1:
+                raise ConfigError(
+                    f"{self.experiment} reads one {f.name} entry, got {len(value)}"
+                )
+            object.__setattr__(self, f.name, value)
+
+
+@dataclass(frozen=True)
+class _Secrecy(_Config):
+    """The secrecy sweeps; artificial-noise power 25 dB."""
+
     samples: int = 100_000
-    users: int = 2
+    sigma_a2_db: float = 25.0
+    sigma_A2_db_grid: tuple[float, ...] = (0.0,)
+    delta_h_values: tuple[float, ...] = (0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Fig3Config(_Secrecy):
+    """Secrecy capacity vs alpha at one residual-noise level."""
+
+    experiment: ClassVar[str] = "fig3"
+    one_entry: ClassVar[tuple[str, ...]] = ("sigma_A2_db_grid",)
+
     powers_db: tuple[float, ...] = (25.0, 30.0)
     alpha_grid: tuple[float, ...] = tuple(
         float(a) for a in np.round(np.arange(0.0, 0.501, 0.05), 2)
     )
+
+
+@dataclass(frozen=True)
+class Fig4Config(_Secrecy):
+    """Secrecy capacity vs transmit power and residual noise at one gap."""
+
+    experiment: ClassVar[str] = "fig4"
+    one_entry: ClassVar[tuple[str, ...]] = ("delta_h_values",)
+
+    powers_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    sigma_A2_db_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    delta_h_values: tuple[float, ...] = (1.0,)
     alpha: float = 0.5
-    beta: float = 0.5
-    splits: tuple[tuple[float, float], ...] = ((0.5, 0.5), (0.3, 0.7))
-    k_grid: tuple[int, ...] = (2, 10, 20)
-    n_seeds: int = 5
-    sigma_a2_db: float = 25.0
-    sigma_A2_db_grid: tuple[float, ...] = (0.0,)
-    delta_h_values: tuple[float, ...] = (0.0, 1.0)
-    sigma_z2: float = 1.0
-    L_s: float = 1.0
+
+
+@dataclass(frozen=True)
+class _Training(_Config):
+    """The ridge task and schedule of a training run: d = 30, T = 1000."""
+
+    one_entry: ClassVar[tuple[str, ...]] = ("powers_db",)
+
     d: int = 30
     T: int = 1000
     reg_lambda: float = 1e-3
     n_per_user: int = 20
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
-            )
-        for name in ("seed", "users", "samples", "n_seeds", "d", "T", "n_per_user"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name not in ("seed", "users"):
-                raise ConfigError(f"{name} must be at least 1")
-        unit = ("a finite value in [0, 1]", lambda v: 0 <= v <= 1)
-        positive = ("a finite positive value", lambda v: v > 0)
-        nonnegative = ("a finite nonnegative value", lambda v: v >= 0)
-        finite = ("a finite value", lambda v: True)
-        reals = (
-            # power fractions: fig3/fig4 sweep alpha, train/fig5 cap it; beta is the noise share
-            ("alpha", (self.alpha, *self.alpha_grid, *(a for a, _ in self.splits)), unit),
-            ("beta", (self.beta, *(b for _, b in self.splits)), unit),
-            ("L_s", (self.L_s,), positive),
-            ("sigma_z2", (self.sigma_z2,), nonnegative),
-            ("delta_h_values", self.delta_h_values, nonnegative),
-            ("powers_db", self.powers_db, finite),
-            ("sigma_a2_db", (self.sigma_a2_db,), finite),
-            ("sigma_A2_db_grid", self.sigma_A2_db_grid, finite),
-        )
-        for name, values, (requirement, in_range) in reals:
-            for value in values:
-                if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
-                        or not np.isfinite(value) or not in_range(value)):
-                    raise ConfigError(f"{name} must be {requirement}, got {value!r}")
-        if self.experiment in ("train", "fig5", "noise-check") and self.users % 2 != 0:
-            raise ConfigError(
-                f"odd user count K={self.users} is unsupported by the pairwise scheme"
-            )
-        if self.experiment == "fig5" and any(k % 2 for k in self.k_grid):
-            raise ConfigError("every K in k_grid must be even")
-        if not (self.alpha_grid and self.powers_db and self.sigma_A2_db_grid
-                and self.delta_h_values):
-            raise ConfigError("sweep grids must be nonempty")
 
 
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "fig4": {
-        "powers_db": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        "sigma_A2_db_grid": (0.0, 5.0, 10.0, 15.0, 20.0),
-        "delta_h_values": (1.0,),
-    },
-    "fig5": {"powers_db": (30.0,)},
-    "train": {"powers_db": (30.0,)},
+@dataclass(frozen=True)
+class Fig5Config(_Training):
+    """Convergence sweep over user counts and (alpha cap, beta) splits."""
+
+    experiment: ClassVar[str] = "fig5"
+
+    k_grid: tuple[int, ...] = (2, 10, 20)
+    splits: tuple[tuple[float, float], ...] = ((0.5, 0.5), (0.3, 0.7))
+    n_seeds: int = 5
+
+
+@dataclass(frozen=True)
+class TrainConfig(_Training):
+    """One training run."""
+
+    experiment: ClassVar[str] = "train"
+
+    users: int = 2
+    alpha: float = 0.5
+    beta: float = 0.5
+
+
+@dataclass(frozen=True)
+class NoiseCheckConfig(_Config):
+    """Monte Carlo check that the aggregated artificial noise cancels."""
+
+    experiment: ClassVar[str] = "noise-check"
+    one_entry: ClassVar[tuple[str, ...]] = ("powers_db",)
+
+    powers_db: tuple[float, ...] = (25.0,)
+    samples: int = 100_000
+    users: int = 2
+    alpha: float = 0.5
+    beta: float = 0.5
+
+
+SCHEMAS: dict[str, type[_Config]] = {
+    schema.experiment: schema
+    for schema in (Fig3Config, Fig4Config, Fig5Config, TrainConfig, NoiseCheckConfig)
 }
+EXPERIMENTS = tuple(SCHEMAS)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> _Config:
     """Read and validate a JSON experiment config, rejecting unknown keys."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -136,24 +273,28 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
+def config_from_dict(raw: dict) -> _Config:
+    """The named experiment's schema, built from the other keys of `raw`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     if "experiment" not in raw:
         raise ConfigError("config must name an experiment")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    experiment = raw["experiment"]
+    schema = SCHEMAS.get(experiment) if isinstance(experiment, str) else None
+    if schema is None:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
+        )
+    settings = {k: v for k, v in raw.items() if k != "experiment"}
+    unknown = set(settings) - {f.name for f in fields(schema)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(_EXPERIMENT_DEFAULTS.get(raw["experiment"], {}))
-    merged.update(raw)
-    for key in ("powers_db", "alpha_grid", "sigma_A2_db_grid", "delta_h_values", "k_grid"):
-        if key in merged:
-            merged[key] = tuple(merged[key])
-    if "splits" in merged:
-        merged["splits"] = tuple((a, b) for a, b in merged["splits"])
-    return ExperimentConfig(**merged)
+        raise ConfigError(
+            f"unknown config keys for {experiment}: {sorted(unknown, key=str)}"
+        )
+    return schema(**settings)
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def run_experiment(config: _Config) -> tuple[list[str], list[tuple]]:
     """Dispatch to the experiment runner; returns (header, rows)."""
     runner = {
         "fig3": _run_fig3,
@@ -178,7 +319,7 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             )
 
 
-def _run_fig3(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def _run_fig3(config: Fig3Config) -> tuple[list[str], list[tuple]]:
     """Secrecy capacity vs the signal power coefficient alpha."""
     sweep = SecrecySweep(
         alpha_grid=config.alpha_grid,
@@ -194,7 +335,7 @@ def _run_fig3(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     return ["alpha", "p_db", "delta_h", "mean_c"], rows
 
 
-def _run_fig4(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def _run_fig4(config: Fig4Config) -> tuple[list[str], list[tuple]]:
     """Secrecy capacity vs transmit power and residual-noise variance."""
     sweep = SecrecySweep(
         alpha_grid=(config.alpha,),
@@ -210,7 +351,7 @@ def _run_fig4(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     return ["p_db", "sigma_A2_db", "mean_c"], rows
 
 
-def _train_once(config: ExperimentConfig, K: int, alpha_cap: float, beta: float,
+def _train_once(config: _Training, K: int, alpha_cap: float, beta: float,
                 seed_key: tuple[int, ...]):
     task_rng = np.random.default_rng([config.seed, 17])
     task = make_task(K, config.n_per_user, config.d, config.reg_lambda, task_rng)
@@ -226,7 +367,7 @@ def _train_once(config: ExperimentConfig, K: int, alpha_cap: float, beta: float,
     return train_over_air(task, chan, settings, rng)
 
 
-def _run_fig5(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def _run_fig5(config: Fig5Config) -> tuple[list[str], list[tuple]]:
     """Convergence bound and simulated loss vs iteration, users, and beta."""
     rows = []
     for K in config.k_grid:
@@ -247,7 +388,7 @@ def _run_fig5(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     return ["t", "K", "beta", "bound", "simulated_loss"], rows
 
 
-def _run_train(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def _run_train(config: TrainConfig) -> tuple[list[str], list[tuple]]:
     """Single federated training run over the simulated channel."""
     state, binp = _train_once(
         config, config.users, config.alpha, config.beta, (config.seed, 1)
@@ -259,7 +400,7 @@ def _run_train(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     return ["t", "loss", "gap"], rows
 
 
-def _run_noise_check(config: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+def _run_noise_check(config: NoiseCheckConfig) -> tuple[list[str], list[tuple]]:
     """Empirical cancellation check of the aggregated artificial noise."""
     rng = np.random.default_rng([config.seed, 29])
     K = config.users

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import ChannelConfig, db_to_linear, sample_gains
+from .channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,10 @@ class SecrecySweep:
     Every combination of (alpha, power, delta_h, sigma_A2) is evaluated over
     the same fading draws (common random numbers).  sigma_zprime2 for each
     point is m_factor^2 * sigma_A2 + sigma_z2.  Construction rejects a
-    non-finite value, an alpha outside [0, 1], L_s <= 0, a negative sigma_z2
-    or delta_h, and a point whose residual or eavesdropper noise is not
-    positive, any of which would turn the means into NaN or leave the model.
+    non-finite value, a dB value above MAX_DB (its linear power overflows),
+    an alpha outside [0, 1], L_s <= 0, a negative sigma_z2 or delta_h, and a
+    point whose residual or eavesdropper noise is not positive, any of which
+    would turn the means into NaN or leave the model.
     """
 
     alpha_grid: tuple[float, ...]
@@ -103,6 +104,12 @@ class SecrecySweep:
         for name, values in {**grids, **scalars}.items():
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite, got {values}")
+        for name in ("power_db_grid", "sigma_A2_db_grid", "sigma_a2_db"):
+            if not np.all(np.asarray(getattr(self, name)) <= MAX_DB):
+                raise ValueError(
+                    f"{name} must be at most {MAX_DB} dB, whose linear power "
+                    f"is the largest finite float; got {getattr(self, name)}"
+                )
         if not all(0 <= a <= 1 for a in self.alpha_grid):
             raise ValueError(f"alpha_grid values must lie in [0, 1], got {self.alpha_grid}")
         if self.L_s <= 0:

@@ -1,16 +1,26 @@
 import csv
 import hashlib
+import importlib.util
 import json
+import sys
+from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from airfl.channel import MAX_DB
 from airfl.cli import main
 from airfl.experiments import (
+    EXPERIMENTS,
+    SCHEMAS,
     ConfigError,
     config_from_dict,
     load_config,
     run_experiment,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -70,8 +80,9 @@ class TestLoadConfig:
         ("samples", "10"), ("T", 2.5), ("n_seeds", True), ("seed", None),
     ])
     def test_mistyped_count_rejected(self, key, value):
+        experiment = "fig3" if key == "samples" else "fig5"  # fig5 draws no samples
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
-            config_from_dict({"experiment": "fig5", key: value})
+            config_from_dict({"experiment": experiment, key: value})
 
     @pytest.mark.parametrize("raw", [
         {"experiment": "train", "beta": -1.0},
@@ -120,6 +131,113 @@ class TestLoadConfig:
     def test_dp_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"experiment": "fig5", "dp": {"epsilon": 1.0}})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"experiment": "fig3", "powers_db": [25.0, 4000.0]}, "powers_db"),
+        ({"experiment": "fig3", "sigma_a2_db": 4000.0}, "sigma_a2_db"),
+        ({"experiment": "fig4", "sigma_A2_db_grid": [0.0, 4000.0]}, "sigma_A2_db_grid"),
+        ({"experiment": "fig4", "powers_db": [MAX_DB, float(np.nextafter(MAX_DB, np.inf))]},
+         "powers_db"),
+        ({"experiment": "train", "powers_db": [4000.0]}, "powers_db"),
+        ({"experiment": "noise-check", "powers_db": [4000.0]}, "powers_db"),
+    ])
+    def test_overflowing_db_rejected(self, raw, key):
+        # powers_db [4000] once wrote mean_c = nan after an overflow warning
+        with pytest.raises(ConfigError, match=f"{key} must be a finite value at most"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"experiment": "fig5", "k_grid": []}, "k_grid is empty"),
+        ({"experiment": "fig5", "splits": []}, "splits is empty"),
+        ({"experiment": "fig5", "k_grid": [0]}, "k_grid must be at least 2, got 0"),
+        ({"experiment": "fig5", "k_grid": [2, 3]}, "k_grid: odd user count K=3"),
+        ({"experiment": "fig5", "k_grid": [2.0]}, "k_grid must be an integer"),
+        ({"experiment": "fig5", "splits": [[0.5, 0.5], [0.3, 0.5]]}, "repeat a beta"),
+        ({"experiment": "train", "users": 0}, "users must be at least 2, got 0"),
+        ({"experiment": "noise-check", "users": 0}, "users must be at least 2, got 0"),
+        ({"experiment": "noise-check", "users": 5}, "users: odd user count K=5"),
+        ({"experiment": "train", "reg_lambda": 0.0}, "reg_lambda must be a finite positive"),
+        ({"experiment": "train", "out": 5}, "out must be a path string"),
+    ])
+    def test_count_split_and_path_rejected(self, raw, message):
+        # an empty k_grid or splits once wrote a header-only CSV, k_grid [0]
+        # died in eigvalsh, users 0 failed at run time with "empty system",
+        # and repeated betas wrote rows no reader could tell apart
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+
+# keys each experiment's runner reads; every other key is rejected
+ACCEPTED_KEYS = {
+    "fig3": {"seed", "out", "samples", "alpha_grid", "powers_db", "delta_h_values",
+             "sigma_A2_db_grid", "sigma_a2_db", "sigma_z2", "L_s"},
+    "fig4": {"seed", "out", "samples", "alpha", "powers_db", "delta_h_values",
+             "sigma_A2_db_grid", "sigma_a2_db", "sigma_z2", "L_s"},
+    "fig5": {"seed", "out", "k_grid", "splits", "n_seeds", "powers_db", "sigma_z2",
+             "L_s", "d", "T", "reg_lambda", "n_per_user"},
+    "train": {"seed", "out", "users", "alpha", "beta", "powers_db", "sigma_z2", "L_s",
+              "d", "T", "reg_lambda", "n_per_user"},
+    "noise-check": {"seed", "out", "samples", "users", "powers_db", "alpha", "beta",
+                    "sigma_z2", "L_s"},
+}
+
+
+class TestSchemas:
+    def test_accepted_keys(self):
+        assert {e: {f.name for f in fields(s)} for e, s in SCHEMAS.items()} == ACCEPTED_KEYS
+        assert sum(map(len, ACCEPTED_KEYS.values())) == 53
+        for experiment, keys in ACCEPTED_KEYS.items():
+            defaults = config_from_dict({"experiment": experiment})
+            for key in keys:
+                # each default, in its JSON form, is accepted back
+                value = json.loads(json.dumps(getattr(defaults, key)))
+                assert config_from_dict({"experiment": experiment, key: value}) == defaults
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_keys_of_other_schemas_rejected(self, experiment):
+        foreign = set().union(*ACCEPTED_KEYS.values()) - ACCEPTED_KEYS[experiment]
+        assert foreign
+        for key in sorted(foreign):
+            with pytest.raises(ConfigError,
+                               match=rf"unknown config keys for {experiment}: \['{key}'\]"):
+                config_from_dict({"experiment": experiment, key: 1})
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("fig3", "sigma_A2_db_grid"), ("fig4", "delta_h_values"), ("fig5", "powers_db"),
+        ("train", "powers_db"), ("noise-check", "powers_db"),
+    ])
+    def test_one_entry_field_rejects_a_second(self, experiment, key):
+        # the runner reads only entry [0]; the rest were once dropped unread
+        assert len(getattr(config_from_dict({"experiment": experiment}), key)) == 1
+        with pytest.raises(ConfigError, match=f"{experiment} reads one {key} entry, got 2"):
+            config_from_dict({"experiment": experiment, key: [10.0, 20.0]})
+
+    def test_noise_check_reads_25_db(self):
+        assert config_from_dict({"experiment": "noise-check"}).powers_db == (25.0,)
+
+
+# attributes bench/run.py reads from a config of each workload
+HARNESS_READS = {
+    "fig5-train": ("T", "k_grid", "splits", "n_seeds", "out"),
+    "fig3-secrecy": ("samples", "alpha_grid", "powers_db", "delta_h_values",
+                     "sigma_A2_db_grid", "out"),
+    "noise-mc": ("samples", "users", "out"),
+}
+
+
+def test_bench_parts_validate(monkeypatch, tmp_path):
+    # loaded as bench/test_bench_smoke.py loads it
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("airfl_bench_run", BENCH / "run.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, harness)
+    spec.loader.exec_module(harness)
+    assert sorted(harness.WORKLOADS) == sorted(HARNESS_READS)
+    for name, workload in harness.WORKLOADS.items():
+        for part in workload.parts + workload.smoke:
+            cfg = config_from_dict(dict(part, seed=3, out=str(tmp_path / "part.csv")))
+            assert all(hasattr(cfg, attr) for attr in HARNESS_READS[name])
+            assert workload.units(cfg) > 0
 
 
 class TestRunExperiment:
@@ -265,6 +383,57 @@ class TestCli:
         assert captured.err.splitlines() == [
             "airfl: error: L_s must be a finite positive value, got 0.0"
         ]
+
+    @pytest.mark.parametrize("document, message", [
+        ("5", "config must be a JSON object, got int"),
+        ('{"experiment": ["fig3"]}', "unknown experiment ['fig3']"),
+        ('{"experiment": "fig3", "alpha_grid": 5}', "alpha_grid must be a list, got 5"),
+        ('{"experiment": "fig5", "splits": [[0.5, 0.5, 0.5]]}',
+         "each splits entry must be an [alpha_cap, beta] pair"),
+        ('{"experiment": "fig5", "splits": [0.5]}',
+         "each splits entry must be an [alpha_cap, beta] pair"),
+        ('{"experiment": "fig3", "seed": -1}', "seed must be at least 0, got -1"),
+        ('{"experiment": "fig3", "sigma_a2_db": 4000}',
+         "sigma_a2_db must be a finite value at most"),
+        ('{"experiment": "fig5", "samples": 5}', "unknown config keys for fig5: ['samples']"),
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, document, message):
+        # these once crashed with a TypeError traceback, failed on unpacking
+        # a split or inside numpy at run time, wrote NaN rows, or ran fig5
+        # with a samples key it never read
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        experiment = "fig5" if "fig5" in document else "fig3"
+        assert main([experiment, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("airfl: error: ") and message in line
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["noise-check", "--samples", "0"], "samples must be at least 1, got 0"),
+    ])
+    def test_bad_override_is_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"airfl: error: {message}"]
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["fig3", "--samples", "10", "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("airfl: error: ") and "No such file" in line
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_samples_only_for_sampling_experiments(self, experiment, capsys):
+        sampled = experiment in ("fig3", "fig4", "noise-check")
+        with pytest.raises(SystemExit):
+            main([experiment, "--help"])
+        assert ("--samples" in capsys.readouterr().out) == sampled
+        if not sampled:
+            with pytest.raises(SystemExit) as exc:
+                main([experiment, "--samples", "5"])
+            assert exc.value.code == 2
 
     def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from airfl.channel import ChannelConfig, db_to_linear, sample_gains
+from airfl.channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
 from airfl.secrecy import (
     SecrecyInputs,
     SecrecySweep,
@@ -158,6 +158,24 @@ class TestSweepValidation:
         # 10^(-400) underflows to 0, so the eavesdropper would see no noise
         with pytest.raises(ValueError, match="eavesdropper"):
             base_sweep(sigma_z2=0.0, sigma_a2_db=-4000.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"power_db_grid": (30.0, 4000.0)},
+        {"sigma_A2_db_grid": (4000.0,)},
+        {"sigma_a2_db": 4000.0},
+    ])
+    def test_overflowing_db_rejected(self, kw):
+        # 10^400 once overflowed to inf after a numpy warning (an error under
+        # the suite's warning filter) and gave NaN means
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be at most"):
+            base_sweep(**kw)
+
+    def test_largest_finite_db_allowed(self):
+        assert np.isfinite(db_to_linear(MAX_DB))
+        base_sweep(power_db_grid=(MAX_DB,), sigma_A2_db_grid=(MAX_DB,), sigma_a2_db=MAX_DB)
+        with pytest.raises(ValueError, match="power_db_grid must be at most"):
+            base_sweep(power_db_grid=(float(np.nextafter(MAX_DB, np.inf)),))
 
     def test_noiseless_receiver_allowed(self):
         assert len(monte_carlo_secrecy(base_sweep(sigma_z2=0.0), 10, seed=0)) == 44
