@@ -2,9 +2,9 @@
 learning protected by pairwise-cancellable random artificial noise."""
 
 from .aircomp import (
-    AggregateEstimate,
     LinkPlan,
     clip_gradient,
+    draw_noise,
     plan_link,
     simulate_aggregation_rounds,
     simulate_round,

@@ -29,14 +29,6 @@ from .pcran import (
 
 
 @dataclass(frozen=True)
-class AggregateEstimate:
-    """Server-side mean-gradient estimate with its noise statistics."""
-
-    s_hat: np.ndarray
-    noise_stats: NoiseStats | None = None
-
-
-@dataclass(frozen=True)
 class LinkPlan:
     """Per-run invariants of the aggregation link, indexed by user k.
 
@@ -65,19 +57,18 @@ class LinkPlan:
     noise_stats: NoiseStats
 
 
-def clip_gradient(g: np.ndarray, L_s: float, out: np.ndarray | None = None) -> np.ndarray:
+def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     """Scale each gradient (last axis of g) down to norm L_s if it exceeds it.
 
     The vector @ vector matmul runs np.linalg.norm's dot routine, so a (K, d)
     stack clips bit for bit like its rows one by one (an einsum norm sums in
-    another order); L_s / max(norm, L_s) is exactly 1 within the bound.  The
-    result is written to out when one is given.
+    another order); L_s / max(norm, L_s) is exactly 1 within the bound.
     """
     if L_s <= 0:
         raise ValueError("gradient-norm bound L_s must be positive")
     g = np.asarray(g, dtype=float)
     norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
-    return np.multiply(g, (L_s / np.maximum(norm, L_s))[..., None], out=out)
+    return g * (L_s / np.maximum(norm, L_s))[..., None]
 
 
 def plan_link(
@@ -143,42 +134,50 @@ def plan_link(
     )
 
 
-def simulate_round(
-    gradients: np.ndarray, plan: LinkPlan, rng: Generator
-) -> AggregateEstimate:
-    """One full aggregation round: clip, add PCR-AN, superpose, rescale by 1/(mK).
+def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarray:
+    """Received noise of a block of rounds, shape (rounds, K + 1, d).
 
-    gradients has shape (K, d).  The round reads the stream once: one
-    standard-normal block whose rows are the drawn users in index order,
-    then the receiver noise, scaled and shifted in place the way
-    Generator.normal computes loc + scale * n.  Float operations follow the
-    per-user order (payload sig_amp * s_k + noise_amp * equalize * n_k; the
-    sum starts from the receiver noise and adds users in index order), so a
-    seeded run is reproducible bit for bit.
+    Row 0 of a round is the receiver noise (zeros when sigma_z2 = 0), row
+    1 + k user k's PCR-AN as received, noise_amp_k * equalize_k * n_k.  One
+    standard-normal call reads each round's drawn users in index order, then
+    its receiver row, and the block is shifted and scaled in place the way
+    Generator.normal computes loc + scale * n; standard_normal keeps no state
+    between calls, so a block of R rounds reads what R one-round blocks do.
     """
     K = len(plan.sig_amp)
-    if gradients.ndim != 2 or len(gradients) != K:
-        raise ValueError(f"gradient shape {gradients.shape} does not fit a plan of K={K} users")
-    d = gradients.shape[1]
-    z = rng.standard_normal((len(plan.scale), d))
+    n_drawn = len(plan.drawn)
+    z = rng.standard_normal((rounds, len(plan.scale), d))
     z *= plan.scale
     z += plan.loc
-    n_drawn = len(plan.drawn)
+    slab = np.empty((rounds, K + 1, d))
+    slab[:, 0] = z[:, n_drawn] if plan.sigma_z2 > 0 else 0.0
+    noise = slab[:, 1:]
     if n_drawn == K:
-        noise = z[:K]
+        noise[...] = z[:, :K]
     else:  # zero-variance users send their mean, drawing nothing
-        noise = np.repeat(plan.mean[:, None], d, axis=1)
-        noise[plan.drawn] = z[:n_drawn]
+        noise[...] = plan.mean[:, None]
+        noise[:, plan.drawn] = z[:, :n_drawn]
     noise *= plan.equalize[:, None]
     noise *= plan.noise_amp[:, None]
-    received = np.empty((K + 1, d))
-    received[0] = z[n_drawn] if plan.sigma_z2 > 0 else 0.0
-    payload = clip_gradient(gradients, plan.L_s, out=received[1:])
-    payload *= plan.sig_amp[:, None]
-    payload += noise
-    # accumulate adds strictly in row order: z, then users 0..K-1
-    r = np.add.accumulate(received, axis=0)[-1]
-    return AggregateEstimate(s_hat=r / (plan.m * K), noise_stats=plan.noise_stats)
+    return slab
+
+
+def simulate_round(gradients: np.ndarray, plan: LinkPlan, noise: np.ndarray) -> np.ndarray:
+    """One aggregation round: clip, add to the noise, superpose, rescale by 1/(mK).
+
+    gradients is (K, d) and noise one (K + 1, d) round of :func:`draw_noise`,
+    which the payloads sig_amp * s_k are added into in place.  The sum starts
+    from the receiver noise and adds users in index order, the per-user
+    float order, so a seeded run is reproducible bit for bit.  Returns s_hat.
+    """
+    K = len(plan.sig_amp)
+    if gradients.ndim != 2 or len(gradients) != K or noise.shape != (K + 1, gradients.shape[1]):
+        raise ValueError(f"gradient shape {gradients.shape} and noise shape {noise.shape} "
+                         f"do not fit a plan of K={K} users")
+    noise[1:] += clip_gradient(gradients, plan.L_s) * plan.sig_amp[:, None]
+    # accumulate adds strictly in row order; add.reduce over axis 0 would
+    # switch to pairwise summation when d = 1
+    return np.add.accumulate(noise, axis=0)[-1] / (plan.m * K)
 
 
 def simulate_aggregation_rounds(

@@ -313,10 +313,8 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+        # csv writes a float (np.float64 included) as its repr
+        writer.writerows(rows)
 
 
 def _run_fig3(config: Fig3Config) -> tuple[list[str], list[tuple]]:
@@ -383,8 +381,8 @@ def _run_fig5(config: Fig5Config) -> tuple[list[str], list[tuple]]:
                 bound_terms += convergence_bound(replace(binp, T=1)) / t
             losses /= config.n_seeds
             bound_terms /= config.n_seeds
-            for t in range(1, config.T + 1):
-                rows.append((t, K, beta, float(bound_terms[t - 1]), float(losses[t - 1])))
+            rows += [(t + 1, K, beta, bound, loss) for t, (bound, loss)
+                     in enumerate(zip(bound_terms.tolist(), losses.tolist()))]
     return ["t", "K", "beta", "bound", "simulated_loss"], rows
 
 
@@ -393,10 +391,7 @@ def _run_train(config: TrainConfig) -> tuple[list[str], list[tuple]]:
     state, binp = _train_once(
         config, config.users, config.alpha, config.beta, (config.seed, 1)
     )
-    rows = [
-        (t + 1, float(state.loss_history[t]), float(state.gap_history[t]))
-        for t in range(config.T)
-    ]
+    rows = list(zip(range(1, config.T + 1), state.loss_history, state.gap_history))
     return ["t", "loss", "gap"], rows
 
 

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from .aircomp import clip_gradient, plan_link, simulate_round
+from .aircomp import clip_gradient, draw_noise, plan_link, simulate_round
 from .channel import ChannelConfig, sample_channel
 from .pcran import PowerAllocation, compute_alignment, draw_secrets, form_pairs
 
 DIVERGENCE_FACTOR = 1e6
+# doubles of received noise drawn at once (128 KB), like secrecy._BLOCK
+_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,8 @@ def train_over_air(
 
     The channel is sampled once (time-invariant link), pairs and secrets are
     formed once, and each round clips the local gradients, transmits them
-    with PCR-AN, and applies the global update w <- w - eta_t * s_hat.
+    with PCR-AN, and applies the global update w <- w - eta_t * s_hat.  Noise
+    is drawn ahead in blocks of at most _NOISE_BLOCK doubles (see draw_noise).
     Returns the trajectory plus the bound inputs matching the realized run.
     """
     K = task.K
@@ -233,13 +236,16 @@ def train_over_air(
     # the 1/(lam t) schedule makes a large t=1 step intrinsic, so the
     # divergence guard anchors at the post-first-step loss
     guard_ref = _loss_at(resid, state.w, task)
+    per_block = max(1, _NOISE_BLOCK // ((K + 1) * task.d))
 
     for t in range(1, settings.T + 1):
-        est = simulate_round(_gradients_at(resid, state.w, task), plan, rng)
+        if (t - 1) % per_block == 0:
+            block = iter(draw_noise(plan, min(per_block, settings.T + 1 - t), task.d, rng))
+        s_hat = simulate_round(_gradients_at(resid, state.w, task), plan, next(block))
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
-        state.w = state.w - eta * est.s_hat
+        state.w = state.w - eta * s_hat
         state.t, state.eta = t, eta
-        state.shat_sq_sum += float(est.s_hat @ est.s_hat)
+        state.shat_sq_sum += float(s_hat @ s_hat)
         resid = _residual(state.w, task)
         loss = _loss_at(resid, state.w, task)
         state.loss_history.append(loss)

@@ -5,6 +5,7 @@ import pytest
 
 from airfl.aircomp import (
     clip_gradient,
+    draw_noise,
     plan_link,
     simulate_aggregation_rounds,
     simulate_round,
@@ -14,6 +15,7 @@ from airfl.pcran import (
     PairSecret,
     Pairing,
     PowerAllocation,
+    aggregate_noise_stats,
     compute_alignment,
     draw_pcran,
     equalized_gain,
@@ -45,9 +47,15 @@ def make_plan(h2, alloc, secrets=None, sigma_z2=0.0, pre_equalized=True):
     return plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
 
 
-def received(est, alloc):
+def run_round(gradients, plan, gen):
+    """One aggregation round on a freshly drawn one-round noise block."""
+    d = np.shape(gradients)[-1]
+    return simulate_round(gradients, plan, draw_noise(plan, 1, d, gen)[0])
+
+
+def received(s_hat, alloc):
     """Undo the 1/(mK) rescaling to recover the superposed channel output."""
-    return est.s_hat * (alloc.m * len(alloc.P))
+    return s_hat * (alloc.m * len(alloc.P))
 
 
 def reference_clip(g, L_s):
@@ -109,6 +117,28 @@ class TestClipGradient:
             assert np.linalg.norm(clip_gradient(g, 1.5)) <= 1.5 + 1e-12
 
 
+def random_link(K, d, silent, seed):
+    """A random K-user link with shuffled pairs and d-dimensional gradients,
+    one of which must be clipped; silent gives the first pair zero variances
+    and, for K > 2, one user of the second pair."""
+    r = rng(seed)
+    h2 = r.exponential(size=K)
+    alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
+    real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+    perm = r.permutation(K)
+    pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
+                                  for i in range(K // 2)))
+    secrets = [PairSecret(r.uniform(0.5, 1.5), r.uniform(0.5, 2.0),
+                          r.uniform(0.5, 2.0)) for _ in range(K // 2)]
+    if silent:  # zero-variance users draw nothing
+        secrets[0] = PairSecret(mu=0.7, sigma2_pos=0.0, sigma2_neg=0.0)
+        if K > 2:
+            secrets[1] = PairSecret(mu=0.3, sigma2_pos=1.2, sigma2_neg=0.0)
+    grads = r.normal(0.0, 0.1, size=(K, d))
+    grads[K - 1] *= 50.0 / np.linalg.norm(grads[K - 1])  # must be clipped
+    return real, alloc, pairing, secrets, grads
+
+
 class TestRoundKernelExact:
     @pytest.mark.parametrize("K", [2, 10])
     @pytest.mark.parametrize("d", [1, 30])
@@ -116,31 +146,46 @@ class TestRoundKernelExact:
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("silent", [True, False])
     def test_matches_per_user_loop(self, K, d, pre_equalized, sigma_z2, silent):
-        r = rng(K * 1000 + d)
-        h2 = r.exponential(size=K)
-        alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
-        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
-        perm = r.permutation(K)
-        pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
-                                      for i in range(K // 2)))
-        secrets = [PairSecret(r.uniform(0.5, 1.5), r.uniform(0.5, 2.0),
-                              r.uniform(0.5, 2.0)) for _ in range(K // 2)]
-        if silent:  # zero-variance users draw nothing
-            secrets[0] = PairSecret(mu=0.7, sigma2_pos=0.0, sigma2_neg=0.0)
-            if K > 2:
-                secrets[1] = PairSecret(mu=0.3, sigma2_pos=1.2, sigma2_neg=0.0)
-        grads = r.normal(0.0, 0.1, size=(K, d))
-        grads[K - 1] *= 50.0 / np.linalg.norm(grads[K - 1])  # must be clipped
+        real, alloc, pairing, secrets, grads = random_link(K, d, silent, K * 1000 + d)
         plan = plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
         gen_kernel, gen_loop = rng(5), rng(5)
         for _ in range(3):
-            est = simulate_round(grads, plan, gen_kernel)
+            est = run_round(grads, plan, gen_kernel)
             ref = reference_round(grads, real, alloc, pairing, secrets, sigma_z2,
                                   gen_loop, pre_equalized)
-            assert np.array_equal(est.s_hat, ref)
+            assert np.array_equal(est, ref)
         # both consumed the stream identically
         assert gen_kernel.random() == gen_loop.random()
-        assert est.noise_stats is plan.noise_stats
+        assert plan.noise_stats == aggregate_noise_stats(
+            pairing, secrets, real.h2, alloc.P, alloc.beta, alloc.m, sigma_z2,
+            pre_equalized=pre_equalized,
+        )
+
+
+class TestDrawNoise:
+    @pytest.mark.parametrize("K", [2, 10])
+    @pytest.mark.parametrize("pre_equalized", [True, False])
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    @pytest.mark.parametrize("silent", [True, False])
+    def test_block_equals_stacked_rounds(self, K, pre_equalized, sigma_z2, silent):
+        real, alloc, pairing, secrets, _ = random_link(K, 3, silent, K)
+        plan = plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+        gen_block, gen_rounds = rng(9), rng(9)
+        block = draw_noise(plan, 6, 3, gen_block)
+        rounds = np.stack([draw_noise(plan, 1, 3, gen_rounds)[0] for _ in range(6)])
+        assert block.shape == (6, K + 1, 3)
+        assert np.array_equal(block, rounds)
+        assert gen_block.bit_generator.state == gen_rounds.bit_generator.state
+
+    def test_rows(self):
+        h2 = np.array([1.0, 4.0])
+        alloc = make_alloc(h2, [1.0, 1.0], beta=0.5, alpha_cap=0.5)
+        quiet = make_plan(h2, alloc, [PairSecret(mu=2.0, sigma2_pos=0.0, sigma2_neg=0.0)])
+        block = draw_noise(quiet, 2, 3, rng())
+        # no receiver noise; each user sends its equalized, scaled mean
+        assert np.array_equal(block[:, 0], np.zeros((2, 3)))
+        sent = np.array([2.0, -2.0]) * quiet.equalize * quiet.noise_amp
+        assert np.array_equal(block[:, 1:], np.broadcast_to(sent[:, None], (2, 2, 3)))
 
 
 class TestBuildTransmit:
@@ -148,13 +193,13 @@ class TestBuildTransmit:
 
     def test_gradient_part_is_m_times_s(self):
         alloc = make_alloc([4.0, 4.0], [1.0, 1.0], L_s=1.0)  # m = 2
-        est = simulate_round(np.array([[1.0], [0.0]]), make_plan([4.0, 4.0], alloc), rng())
+        est = run_round(np.array([[1.0], [0.0]]), make_plan([4.0, 4.0], alloc), rng())
         assert received(est, alloc) == pytest.approx([2.0])
 
     def test_zero_inputs(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0], beta=0.5)
-        est = simulate_round(np.zeros((2, 2)), make_plan([1.0, 1.0], alloc), rng())
-        assert np.array_equal(est.s_hat, np.zeros(2))
+        est = run_round(np.zeros((2, 2)), make_plan([1.0, 1.0], alloc), rng())
+        assert np.array_equal(est, np.zeros(2))
 
     def test_noise_only_when_alpha_zero(self):
         h2 = [1.0, 4.0]
@@ -164,13 +209,13 @@ class TestBuildTransmit:
         )
         secret = PairSecret(mu=1.0, sigma2_pos=0.0, sigma2_neg=0.0)
         plan = make_plan(h2, alloc, [secret], pre_equalized=False)
-        est = simulate_round(np.array([[0.5], [-0.3]]), plan, rng())
+        est = run_round(np.array([[0.5], [-0.3]]), plan, rng())
         # |h| sqrt(beta P) n: 2 * (+1) + 4 * (-1); the gradients do not enter
         assert received(est, alloc) == pytest.approx([-2.0])
 
     def test_unclipped_gradient_is_clipped(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
-        est = simulate_round(np.array([[2.0], [0.0]]), make_plan([1.0, 1.0], alloc), rng())
+        est = run_round(np.array([[2.0], [0.0]]), make_plan([1.0, 1.0], alloc), rng())
         assert received(est, alloc) == pytest.approx([alloc.m * 1.0])
 
 
@@ -180,16 +225,16 @@ class TestSuperpose:
     def test_sum_plus_noise(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])  # m = 1
         plan = make_plan([1.0, 1.0], alloc, sigma_z2=1.0)
-        est = simulate_round(np.array([[0.25], [0.75]]), plan, rng(4))
+        est = run_round(np.array([[0.25], [0.75]]), plan, rng(4))
         z = awgn(1, 1.0, rng(4))
         assert received(est, alloc) == pytest.approx(1.0 + z)
 
     def test_noise_floor_only(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
         plan = make_plan([1.0, 1.0], alloc, sigma_z2=0.5)
-        est = simulate_round(np.zeros((2, 2)), plan, rng(6))
+        est = run_round(np.zeros((2, 2)), plan, rng(6))
         z = awgn(2, 0.5, rng(6))
-        assert np.array_equal(est.s_hat, z / (alloc.m * 2))
+        assert np.array_equal(est, z / (alloc.m * 2))
 
     def test_empty_frames_rejected(self):
         empty = np.zeros(0)
@@ -203,7 +248,11 @@ class TestSuperpose:
         plan = make_plan([1.0, 1.0], alloc)
         for bad in (np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2, 1))):
             with pytest.raises(ValueError, match="shape"):
-                simulate_round(bad, plan, rng())
+                run_round(bad, plan, rng())
+        noise = draw_noise(plan, 1, 2, rng())[0]
+        for bad in (noise[:, :1], noise[1:], noise[None]):
+            with pytest.raises(ValueError, match="noise shape"):
+                simulate_round(np.zeros((2, 2)), plan, bad)
 
     def test_linearity(self):
         alloc = make_alloc([1.0, 2.0, 0.5, 3.0], np.ones(4), L_s=10.0, beta=0.3,
@@ -212,16 +261,16 @@ class TestSuperpose:
         plan = make_plan([1.0, 2.0, 0.5, 3.0], alloc, secrets, sigma_z2=1.0)
         r = rng(2)
         a, b = r.normal(size=(4, 3)), r.normal(size=(4, 3))
-        base = simulate_round(np.zeros((4, 3)), plan, rng(8)).s_hat
-        joint = simulate_round(a + b, plan, rng(8)).s_hat - base
-        part_a = simulate_round(a, plan, rng(8)).s_hat - base
-        part_b = simulate_round(b, plan, rng(8)).s_hat - base
+        base = run_round(np.zeros((4, 3)), plan, rng(8))
+        joint = run_round(a + b, plan, rng(8)) - base
+        part_a = run_round(a, plan, rng(8)) - base
+        part_b = run_round(b, plan, rng(8)) - base
         assert joint == pytest.approx(part_a + part_b)
         assert joint == pytest.approx((a + b).mean(axis=0))
         quiet = make_plan([1.0, 2.0, 0.5, 3.0], make_alloc([1.0, 2.0, 0.5, 3.0],
                                                            np.ones(4), L_s=10.0))
-        scaled = simulate_round(2 * a, quiet, rng()).s_hat
-        assert scaled == pytest.approx(2 * simulate_round(a, quiet, rng()).s_hat)
+        scaled = run_round(2 * a, quiet, rng())
+        assert scaled == pytest.approx(2 * run_round(a, quiet, rng()))
 
 
 class TestLinkPlan:
@@ -265,14 +314,14 @@ class TestPostprocess:
 
     def test_noiseless_equal_gains_mean(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
-        est = simulate_round(np.array([[1.0], [1.0]]), make_plan([1.0, 1.0], alloc), rng())
-        assert est.s_hat == pytest.approx([1.0])
+        est = run_round(np.array([[1.0], [1.0]]), make_plan([1.0, 1.0], alloc), rng())
+        assert est == pytest.approx([1.0])
 
     def test_unequal_gains_alpha_restores_alignment(self):
         h2 = [4.0, 9.0]
         alloc = make_alloc(h2, [1.0, 1.0], L_s=3.0)
-        est = simulate_round(np.array([[1.0], [3.0]]), make_plan(h2, alloc), rng())
-        assert est.s_hat == pytest.approx([2.0])
+        est = run_round(np.array([[1.0], [3.0]]), make_plan(h2, alloc), rng())
+        assert est == pytest.approx([2.0])
 
     def test_degenerate_alignment_rejected(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
@@ -293,8 +342,8 @@ class TestSimulateRound:
         real, alloc, pairing, secrets = self.setup_scenario(beta=0.0)
         grads = np.array([[0.5, 0.1], [-0.3, 0.2]])
         plan = plan_link(real, alloc, pairing, secrets, 0.0)
-        est = simulate_round(grads, plan, rng(1))
-        assert est.s_hat == pytest.approx(grads.mean(axis=0), rel=1e-12)
+        est = run_round(grads, plan, rng(1))
+        assert est == pytest.approx(grads.mean(axis=0), rel=1e-12)
 
     def test_monte_carlo_unbiased(self):
         real, alloc, pairing, secrets = self.setup_scenario()
@@ -313,7 +362,7 @@ class TestSimulateRound:
         n = 20000
         plan = plan_link(real, alloc, pairing, secrets, 1.0)
         loop = np.array([
-            simulate_round(grads, plan, rng(100 + i)).s_hat[0]
+            run_round(grads, plan, rng(100 + i))[0]
             for i in range(n)
         ])
         vec = simulate_aggregation_rounds(
@@ -324,8 +373,6 @@ class TestSimulateRound:
 
     def test_residual_variance_matches_prediction(self):
         # two-user point with m*K = 1, where M^-1 * A_t has variance sigma_A2
-        from airfl.pcran import aggregate_noise_stats
-
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=0.5, alpha_cap=0.5)
         real = ChannelRealization(h2=h2, h2_ev=h2.copy())
@@ -347,8 +394,8 @@ class TestSimulateRound:
         # zero variances: any residual mean comes from unequal noise gains
         grads = np.zeros((2, 1))
         raw = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=False)
-        est = simulate_round(grads, raw, rng(5))
-        assert abs(est.s_hat[0]) > 0.01
+        est = run_round(grads, raw, rng(5))
+        assert abs(est[0]) > 0.01
         equalized = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=True)
-        est_eq = simulate_round(grads, equalized, rng(5))
-        assert est_eq.s_hat[0] == pytest.approx(0.0, abs=1e-12)
+        est_eq = run_round(grads, equalized, rng(5))
+        assert est_eq[0] == pytest.approx(0.0, abs=1e-12)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 from dataclasses import fields
@@ -18,6 +19,7 @@ from airfl.experiments import (
     config_from_dict,
     load_config,
     run_experiment,
+    write_csv,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -316,6 +318,24 @@ class TestRunExperiment:
             next(reader)
             parsed = [tuple(float(v) for v in row) for row in reader]
         assert parsed == [tuple(float(v) for v in row) for row in rows]
+
+    def test_csv_floats_written_as_repr(self, tmp_path):
+        row = (3, np.int64(7), 0.5, np.float64(2 / 3), "empirical_mean",
+               1e16, 1e-05, -0.0, 0.1 + 0.2, np.float64(1e-05))
+        out = tmp_path / "row.csv"
+        write_csv(str(out), ["h"] * len(row), [row])
+        # the formatting write_csv used before it handed rows to csv as-is
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["h"] * len(row))
+        writer.writerow(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+        )
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        assert out.read_text().splitlines()[1] == (
+            "3,7,0.5,0.6666666666666666,empirical_mean,1e+16,1e-05,-0.0,"
+            "0.30000000000000004,1e-05"
+        )
 
 
 # sha256 of small seeded runs, recorded before the batched round kernel

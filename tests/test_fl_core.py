@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airfl import fl_core
-from airfl.aircomp import plan_link, simulate_round
+from airfl.aircomp import draw_noise, plan_link, simulate_round
 from airfl.channel import ChannelConfig, sample_channel
 from airfl.fl_core import (
     BoundInputs,
@@ -153,7 +153,8 @@ def secrets_with_quiet_first_pair(n_pairs, mu_range, sigma2_range, gen):
 
 def reference_train(task, chan, settings, gen, secret_draw):
     """train_over_air spelled out with the public per-round functions: every
-    round evaluates the gradients and the loss from scratch."""
+    round draws its own noise and evaluates the gradients and the loss from
+    scratch."""
     K = task.K
     real = sample_channel(chan, K, gen)
     P = np.full(K, settings.power)
@@ -167,7 +168,8 @@ def reference_train(task, chan, settings, gen, secret_draw):
     w = np.zeros(task.d)
     losses, gaps = [], []
     for t in range(1, settings.T + 1):
-        s_hat = simulate_round(all_local_gradients(w, task), plan, gen).s_hat
+        noise = draw_noise(plan, 1, task.d, gen)[0]
+        s_hat = simulate_round(all_local_gradients(w, task), plan, noise)
         w = w - 1.0 / (task.reg_lambda * t) * s_hat
         loss = global_loss(w, task)
         losses.append(loss)
@@ -185,13 +187,19 @@ class TestTrainOverAir:
         task = small_task(12, K=K, n=8, d=5, lam=0.1)
         settings = TrainSettings(T=40, power=100.0, beta=0.5, sigma2_range=(0.5, 2.0))
         chan = ChannelConfig(sigma_z2=sigma_z2)
-        gen_train, gen_ref = rng(13), rng(13)
-        state, _ = train_over_air(task, chan, settings, gen_train)
+        gen_ref = rng(13)
         w, losses, gaps = reference_train(task, chan, settings, gen_ref, secret_draw)
-        assert np.array_equal(state.loss_history, losses)
-        assert np.array_equal(state.gap_history, gaps)
-        assert np.array_equal(state.w, w)
-        assert gen_train.bit_generator.state == gen_ref.bit_generator.state
+        # the module's block holds all 40 rounds; blocks of 7 rounds end on a
+        # short block of 5; blocks of 1 round draw round by round
+        for block_rounds in (None, 7, 1):
+            if block_rounds is not None:
+                monkeypatch.setattr(fl_core, "_NOISE_BLOCK", block_rounds * (K + 1) * task.d)
+            gen_train = rng(13)
+            state, _ = train_over_air(task, chan, settings, gen_train)
+            assert np.array_equal(state.loss_history, losses)
+            assert np.array_equal(state.gap_history, gaps)
+            assert np.array_equal(state.w, w)
+            assert gen_train.bit_generator.state == gen_ref.bit_generator.state
 
     def noiseless_settings(self, T=200):
         return TrainSettings(T=T, L_s=1.0, power=1.0, alpha_cap=1.0, beta=0.0)
