@@ -26,7 +26,6 @@ from .fl_core import (
     centralized_gd,
     convergence_bound,
     global_loss,
-    local_gradient,
     make_task,
     optimal_model,
     train_over_air,

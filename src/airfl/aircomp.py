@@ -64,7 +64,7 @@ def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     stack clips bit for bit like its rows one by one (an einsum norm sums in
     another order); L_s / max(norm, L_s) is exactly 1 within the bound.
     """
-    if L_s <= 0:
+    if not L_s > 0:
         raise ValueError("gradient-norm bound L_s must be positive")
     g = np.asarray(g, dtype=float)
     norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])

@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
             # replace() runs the schema's field checks on the new values
             config = replace(config, **overrides)
         header, rows = run_experiment(config)
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"airfl: error: {exc}", file=sys.stderr)
         return 1
     if config.out:

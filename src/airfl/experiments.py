@@ -406,7 +406,7 @@ def _run_noise_check(config: NoiseCheckConfig) -> tuple[list[str], list[tuple]]:
     beta = np.minimum(np.full(K, config.beta), 1.0 - alpha)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=config.L_s)
     pairing = form_pairs(K, rng)
-    secrets = draw_secrets(K // 2, (0.5, 1.5), (1.0, 1.0), rng)
+    secrets = draw_secrets(K // 2, rng)
     stats = aggregate_noise_stats(
         pairing, secrets, realization.h2, P, beta, m, config.sigma_z2
     )

@@ -50,8 +50,6 @@ class TrainState:
     """Trajectory of one training run."""
 
     w: np.ndarray
-    t: int
-    eta: float
     loss_history: list[float] = field(default_factory=list)
     gap_history: list[float] = field(default_factory=list)
     shat_sq_sum: float = 0.0
@@ -84,15 +82,15 @@ def make_task(
     d: int,
     reg_lambda: float,
     rng: Generator,
-    feature_scale: float = 1.0,
-    label_noise: float = 1.0,
 ) -> SyntheticTask:
     """Generate a synthetic ridge task with a known planted model."""
-    if reg_lambda <= 0:
-        raise ValueError("reg_lambda must be positive for strong convexity")
-    U = rng.normal(0.0, feature_scale / np.sqrt(d), size=(K, n_per_user, d))
+    if not (K >= 1 and n_per_user >= 1 and d >= 1):
+        raise ValueError(f"K, n_per_user and d must be at least 1, got {(K, n_per_user, d)}")
+    if not 0 < reg_lambda < math.inf:
+        raise ValueError("reg_lambda must be finite and positive for strong convexity")
+    U = rng.normal(0.0, 1.0 / np.sqrt(d), size=(K, n_per_user, d))
     w_true = rng.normal(0.0, 1.0, size=d)
-    V = U @ w_true + rng.normal(0.0, label_noise, size=(K, n_per_user))
+    V = U @ w_true + rng.normal(0.0, 1.0, size=(K, n_per_user))
     flat = U.reshape(-1, d)
     cov = flat.T @ flat / flat.shape[0]
     mu = float(np.linalg.eigvalsh(cov)[-1] + reg_lambda)
@@ -120,14 +118,6 @@ def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
     return _loss_at(_residual(w, task), w, task)
 
 
-def local_gradient(
-    w: np.ndarray, U_k: np.ndarray, V_k: np.ndarray, reg_lambda: float
-) -> np.ndarray:
-    """Mean per-point gradient over one user's dataset."""
-    resid = U_k @ w - V_k
-    return resid @ U_k / U_k.shape[0] + reg_lambda * w
-
-
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
     """Stack of every user's local gradient, shape (K, d)."""
     return _gradients_at(_residual(w, task), w, task)
@@ -146,13 +136,16 @@ def convergence_bound(inputs: BoundInputs) -> float:
 
     (2 mu / (lam^2 T)) * (L_s^2 + (d / (m^2 K^2)) * (noise_power_sum + sigma_z2))
     """
-    if inputs.T < 1:
+    if not inputs.T >= 1:
         raise ValueError("T must be at least 1")
-    if inputs.m <= 0:
+    if not (inputs.mu > 0 and inputs.lam > 0 and inputs.L_s > 0):
+        raise ValueError("mu, lam and L_s must be positive, got "
+                         f"{(inputs.mu, inputs.lam, inputs.L_s)}")
+    if not inputs.m > 0:
         raise ValueError("alignment constant m must be positive")
-    if inputs.K < 1:
-        raise ValueError("K must be at least 1")
-    if inputs.noise_power_sum < 0 or inputs.sigma_z2 < 0:
+    if not (inputs.K >= 1 and inputs.d >= 1):
+        raise ValueError(f"K and d must be at least 1, got {(inputs.K, inputs.d)}")
+    if not (inputs.noise_power_sum >= 0 and inputs.sigma_z2 >= 0):
         raise ValueError("noise powers must be nonnegative")
     noise = (inputs.d / (inputs.m**2 * inputs.K**2)) * (
         inputs.noise_power_sum + inputs.sigma_z2
@@ -170,27 +163,26 @@ class TrainSettings:
     alpha_cap: float = 0.5
     beta: float = 0.5
     eta: float | None = None  # None -> 1/(reg_lambda * t) schedule
-    mu_range: tuple[float, float] = (0.5, 1.5)
-    sigma2_range: tuple[float, float] = (1.0, 1.0)
-    pre_equalized: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.T >= 1:
+            raise ValueError(f"T must be at least 1, got {self.T}")
+        if self.eta is not None and not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
 
 
-def centralized_gd(
-    task: SyntheticTask, settings: TrainSettings, w0: np.ndarray | None = None
-) -> TrainState:
+def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
     """Noise-free reference: per-user gradients clipped and averaged exactly.
 
     Uses the same learning-rate schedule as the over-the-air loop, so with a
     noiseless channel the two trajectories coincide.
     """
-    w = np.zeros(task.d) if w0 is None else w0.astype(float).copy()
-    state = TrainState(w=w, t=0, eta=0.0)
+    state = TrainState(w=np.zeros(task.d))
     for t in range(1, settings.T + 1):
         grads = all_local_gradients(state.w, task)
         s_hat = clip_gradient(grads, settings.L_s).mean(axis=0)
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * s_hat
-        state.t, state.eta = t, eta
         state.loss_history.append(global_loss(state.w, task))
     return state
 
@@ -200,7 +192,6 @@ def train_over_air(
     channel_config: ChannelConfig,
     settings: TrainSettings,
     rng: Generator,
-    w0: np.ndarray | None = None,
 ) -> tuple[TrainState, BoundInputs]:
     """Run T federated rounds over the simulated analog channel.
 
@@ -221,14 +212,10 @@ def train_over_air(
     beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
     pairing = form_pairs(K, rng)
-    secrets = draw_secrets(K // 2, settings.mu_range, settings.sigma2_range, rng)
-    plan = plan_link(
-        realization, alloc, pairing, secrets, channel_config.sigma_z2,
-        pre_equalized=settings.pre_equalized,
-    )
+    secrets = draw_secrets(K // 2, rng)
+    plan = plan_link(realization, alloc, pairing, secrets, channel_config.sigma_z2)
 
-    w = np.zeros(task.d) if w0 is None else w0.astype(float).copy()
-    state = TrainState(w=w, t=0, eta=0.0)
+    state = TrainState(w=np.zeros(task.d))
     w_star = optimal_model(task)
     f_star = global_loss(w_star, task)
     # one residual per round serves the loss at w_t and round t+1's gradients
@@ -244,7 +231,6 @@ def train_over_air(
         s_hat = simulate_round(_gradients_at(resid, state.w, task), plan, next(block))
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * s_hat
-        state.t, state.eta = t, eta
         state.shat_sq_sum += float(s_hat @ s_hat)
         resid = _residual(state.w, task)
         loss = _loss_at(resid, state.w, task)

@@ -7,6 +7,7 @@ cancellation algebra.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class PairSecret:
     sigma2_neg: float
 
     def __post_init__(self) -> None:
-        if self.sigma2_pos < 0 or self.sigma2_neg < 0:
-            raise ValueError("noise variances must be nonnegative")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma2_pos < math.inf
+                and 0 <= self.sigma2_neg < math.inf):
+            raise ValueError(f"secret needs a finite mean and finite nonnegative "
+                             f"variances, got {self}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,9 @@ def form_pairs(K: int, rng: Generator) -> Pairing:
 
 def draw_secrets(
     n_pairs: int,
-    mu_range: tuple[float, float],
-    sigma2_range: tuple[float, float],
     rng: Generator,
+    mu_range: tuple[float, float] = (0.5, 1.5),
+    sigma2_range: tuple[float, float] = (1.0, 1.0),
 ) -> list[PairSecret]:
     """Draw per-pair secrets with mu and both variances uniform in the ranges."""
     secrets = []
@@ -145,7 +148,7 @@ def compute_alignment(
     """
     h2 = np.asarray(h2, dtype=float)
     P = np.asarray(P, dtype=float)
-    if L_s <= 0:
+    if not L_s > 0:
         raise ValueError("gradient-norm bound L_s must be positive")
     if not 0 < alpha_cap <= 1:
         raise ValueError("alpha_cap must lie in (0, 1]")

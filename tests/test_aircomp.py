@@ -116,6 +116,11 @@ class TestClipGradient:
             g = r.normal(0, 5, size=8)
             assert np.linalg.norm(clip_gradient(g, 1.5)) <= 1.5 + 1e-12
 
+    @pytest.mark.parametrize("L_s", [0.0, -1.0, np.nan])
+    def test_bound_must_be_positive(self, L_s):
+        with pytest.raises(ValueError, match="L_s"):
+            clip_gradient(np.ones(3), L_s)
+
 
 def random_link(K, d, silent, seed):
     """A random K-user link with shuffled pairs and d-dimensional gradients,

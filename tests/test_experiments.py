@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airfl import cli
 from airfl.channel import MAX_DB
 from airfl.cli import main
 from airfl.experiments import (
@@ -443,6 +444,18 @@ class TestCli:
         assert main(["fig3", "--samples", "10", "--out", str(out)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("airfl: error: ") and "No such file" in line
+
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        # an oversize --samples makes numpy raise MemoryError; fake it, never allocate
+        def oversize(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_experiment", oversize)
+        assert main(["fig3", "--samples", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "airfl: error: Unable to allocate 7.28 TiB for an array"]
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_samples_only_for_sampling_experiments(self, experiment, capsys):

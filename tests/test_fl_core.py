@@ -1,4 +1,5 @@
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from airfl.channel import ChannelConfig, sample_channel
 from airfl.fl_core import (
     BoundInputs,
     TrainSettings,
+    TrainState,
     all_local_gradients,
     centralized_gd,
     convergence_bound,
     global_loss,
-    local_gradient,
     make_task,
     optimal_model,
     train_over_air,
@@ -65,11 +66,17 @@ class TestGlobalLoss:
         assert np.linalg.norm(grad) < 1e-8
 
 
+def per_user_gradient(w, U_k, V_k, reg_lambda):
+    """Reference: mean per-point gradient over one user's dataset."""
+    resid = U_k @ w - V_k
+    return resid @ U_k / U_k.shape[0] + reg_lambda * w
+
+
 class TestLocalGradient:
     def test_finite_difference_oracle(self):
         task = small_task(7)
         w = rng(8).normal(size=task.d)
-        g = local_gradient(w, task.U[0], task.V[0], task.reg_lambda)
+        g = all_local_gradients(w, task)[0]
         step = 1e-6
         fd = np.zeros(task.d)
         for i in range(task.d):
@@ -85,16 +92,16 @@ class TestLocalGradient:
 
     def test_zero_labels_zero_model(self):
         task = small_task(9)
-        g = local_gradient(np.zeros(task.d), task.U[0], np.zeros(task.U.shape[1]),
-                           task.reg_lambda)
-        assert np.array_equal(g, np.zeros(task.d))
+        task = replace(task, V=np.zeros_like(task.V))
+        g = all_local_gradients(np.zeros(task.d), task)
+        assert np.array_equal(g, np.zeros((task.K, task.d)))
 
     def test_stacked_matches_per_user(self):
         task = small_task(10, K=4)
         w = rng(11).normal(size=task.d)
         stacked = all_local_gradients(w, task)
         for k in range(task.K):
-            expected = local_gradient(w, task.U[k], task.V[k], task.reg_lambda)
+            expected = per_user_gradient(w, task.U[k], task.V[k], task.reg_lambda)
             assert stacked[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -143,10 +150,26 @@ class TestConvergenceBound:
         with pytest.raises(ValueError):
             convergence_bound(BoundInputs(T=1, m=1.0, K=0, **good))
 
+    @pytest.mark.parametrize("bad", [
+        dict(lam=0.0), dict(lam=np.nan), dict(mu=np.nan), dict(mu=0.0),
+        dict(L_s=np.nan), dict(m=np.nan), dict(T=np.nan), dict(d=0),
+        dict(noise_power_sum=np.nan), dict(sigma_z2=np.nan),
+    ])
+    def test_rejects_zero_or_nan_inputs(self, bad):
+        good = dict(mu=1.0, lam=1.0, T=1, L_s=1.0, d=1, m=1.0, K=1,
+                    noise_power_sum=0.0, sigma_z2=0.0)
+        with pytest.raises(ValueError):
+            convergence_bound(BoundInputs(**{**good, **bad}))
 
-def secrets_with_quiet_first_pair(n_pairs, mu_range, sigma2_range, gen):
-    """draw_secrets, then zero the first pair's variances (it draws nothing)."""
-    secrets = draw_secrets(n_pairs, mu_range, sigma2_range, gen)
+
+def varied_secrets(n_pairs, gen):
+    """draw_secrets with unequal variances in each pair."""
+    return draw_secrets(n_pairs, gen, sigma2_range=(0.5, 2.0))
+
+
+def secrets_with_quiet_first_pair(n_pairs, gen):
+    """varied_secrets, then zero the first pair's variances (it draws nothing)."""
+    secrets = varied_secrets(n_pairs, gen)
     secrets[0] = replace(secrets[0], sigma2_pos=0.0, sigma2_neg=0.0)
     return secrets
 
@@ -162,8 +185,8 @@ def reference_train(task, chan, settings, gen, secret_draw):
     beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
     pairing = form_pairs(K, gen)
-    secrets = secret_draw(K // 2, settings.mu_range, settings.sigma2_range, gen)
-    plan = plan_link(real, alloc, pairing, secrets, chan.sigma_z2, settings.pre_equalized)
+    secrets = secret_draw(K // 2, gen)
+    plan = plan_link(real, alloc, pairing, secrets, chan.sigma_z2)
     f_star = global_loss(optimal_model(task), task)
     w = np.zeros(task.d)
     losses, gaps = [], []
@@ -182,10 +205,10 @@ class TestTrainOverAir:
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("quiet_pair", [False, True])
     def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet_pair, monkeypatch):
-        secret_draw = secrets_with_quiet_first_pair if quiet_pair else draw_secrets
+        secret_draw = secrets_with_quiet_first_pair if quiet_pair else varied_secrets
         monkeypatch.setattr(fl_core, "draw_secrets", secret_draw)
         task = small_task(12, K=K, n=8, d=5, lam=0.1)
-        settings = TrainSettings(T=40, power=100.0, beta=0.5, sigma2_range=(0.5, 2.0))
+        settings = TrainSettings(T=40, power=100.0, beta=0.5)
         chan = ChannelConfig(sigma_z2=sigma_z2)
         gen_ref = rng(13)
         w, losses, gaps = reference_train(task, chan, settings, gen_ref, secret_draw)
@@ -251,7 +274,22 @@ class TestTrainOverAir:
         task = small_task(7, K=2, d=30, lam=1e-3)
         settings = TrainSettings(T=50, beta=0.5)
         state, _ = train_over_air(task, ChannelConfig(), settings, rng(4))
-        assert state.t == 50
+        assert len(state.loss_history) == 50
+
+    @pytest.mark.parametrize("T", [0, -2])
+    def test_rejects_no_rounds(self, T):
+        with pytest.raises(ValueError, match="T must be at least 1"):
+            train_over_air(small_task(), ChannelConfig(), TrainSettings(T=T), rng())
+
+    def test_nan_gradient_bound_rejected_before_training(self):
+        settings = TrainSettings(T=5, L_s=np.nan)
+        with pytest.raises(ValueError, match="L_s"):
+            train_over_air(small_task(), ChannelConfig(), settings, rng())
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            TrainSettings(T=5, eta=eta)
 
     def test_reports_second_moment(self):
         task = small_task(5, K=2)
@@ -261,8 +299,28 @@ class TestTrainOverAir:
 
 
 def test_make_task_validation():
-    with pytest.raises(ValueError, match="reg_lambda"):
-        make_task(2, 5, 3, 0.0, rng())
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reg_lambda"):
+            make_task(2, 5, 3, lam, rng())
+    for K, n, d in ((0, 5, 3), (2, 0, 3), (2, 5, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            make_task(K, n, d, 0.1, rng())
+
+
+def test_training_api_parameters_are_pinned():
+    # a knob no caller sets is an untested configuration; adding one back
+    # must change this list on purpose
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert [f.name for f in fields(TrainSettings)] == [
+        "T", "L_s", "power", "alpha_cap", "beta", "eta"]
+    assert [f.name for f in fields(TrainState)] == [
+        "w", "loss_history", "gap_history", "shat_sq_sum"]
+    assert params(make_task) == ["K", "n_per_user", "d", "reg_lambda", "rng"]
+    assert params(train_over_air) == ["task", "channel_config", "settings", "rng"]
+    assert params(centralized_gd) == ["task", "settings"]
+    assert params(draw_secrets) == ["n_pairs", "rng", "mu_range", "sigma2_range"]
 
 
 def test_task_smoothness_at_least_lambda():

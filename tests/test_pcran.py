@@ -114,6 +114,11 @@ class TestComputeAlignment:
         with pytest.raises(ValueError, match="finite"):
             compute_alignment(np.array(h2), np.array(P), 1.0)
 
+    @pytest.mark.parametrize("L_s", [0.0, -1.0, float("nan")])
+    def test_bound_must_be_positive(self, L_s):
+        with pytest.raises(ValueError, match="L_s"):
+            compute_alignment(np.ones(2), np.ones(2), L_s)
+
 
 class TestOptimizeBetaDp:
     def test_weak_privacy_demand_needs_no_noise(self):
@@ -213,8 +218,17 @@ class TestAggregateNoiseStats:
             )
 
 
+@pytest.mark.parametrize("mu, sp, sn", [
+    (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1.0, float("nan"), 1.0),
+    (1.0, 1.0, float("inf")), (1.0, -1.0, 1.0), (1.0, 1.0, -0.5),
+])
+def test_pair_secret_rejects_non_finite_or_negative(mu, sp, sn):
+    with pytest.raises(ValueError, match="finite"):
+        PairSecret(mu=mu, sigma2_pos=sp, sigma2_neg=sn)
+
+
 def test_draw_secrets_ranges():
-    secrets = draw_secrets(50, (0.5, 1.5), (1.0, 2.0), rng(8))
+    secrets = draw_secrets(50, rng(8), (0.5, 1.5), (1.0, 2.0))
     assert len(secrets) == 50
     assert all(0.5 <= s.mu <= 1.5 for s in secrets)
     assert all(1.0 <= s.sigma2_pos <= 2.0 for s in secrets)
