@@ -26,8 +26,7 @@ for alpha_cap, beta in ((0.5, 0.5), (0.3, 0.7)):
     state, bound_inputs = train_over_air(
         task, chan, settings, np.random.default_rng(1)
     )
-    print(f"\nalpha_cap={alpha_cap}, beta={beta} "
-          f"(m={bound_inputs.m:.3f}, E||s_hat||^2~{bound_inputs.g2:.2f})")
+    print(f"\nalpha_cap={alpha_cap}, beta={beta} (m={bound_inputs.m:.3f})")
     print(f"{'t':>6} {'loss':>12} {'gap':>12} {'bound':>12}")
     for t in (1, 10, 100, 500, 1000):
         bound_t = convergence_bound(replace(bound_inputs, T=t))

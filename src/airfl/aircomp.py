@@ -34,11 +34,11 @@ class LinkPlan:
 
     sig_amp is |h_k| sqrt(alpha_k P_k) / L_s, which alignment makes equal to
     m; noise_amp is |h_k| sqrt(beta_k P_k).  equalize is the pre-equalization
-    factor target / gains_k applied to the drawn noise (1 where it does not
-    apply).  mean and sd are each user's PCR-AN law from its pair role;
-    drawn lists, in index order, the users whose noise variance is nonzero.
-    loc and scale are (rows, 1) columns of the Gaussian law of each row a
-    round draws: the drawn users' mean and sd, then N(0, sigma_z2) for the
+    factor target / gains_k applied to the drawn noise (1 where gains_k = 0).
+    mean and sd are each user's PCR-AN law from its pair role; drawn lists,
+    in index order, the users whose noise variance is nonzero.  loc and
+    scale are (rows, 1) columns of the Gaussian law of each row a round
+    draws: the drawn users' mean and sd, then N(0, sigma_z2) for the
     receiver when sigma_z2 > 0.
     """
 
@@ -77,13 +77,11 @@ def plan_link(
     pairing: Pairing,
     secrets: list[PairSecret],
     sigma_z2: float,
-    pre_equalized: bool = True,
 ) -> LinkPlan:
     """Precompute one run's link invariants and check that they fit together.
 
-    With pre-equalization each user scales its noise so the received noise
-    gain is the common minimum, making the pairwise means cancel exactly;
-    without it the raw gains apply and cancellation is imperfect.
+    Each user pre-equalizes its noise so the received noise gain is the
+    common minimum, which makes the pairwise means cancel exactly.
     """
     h2 = realization.h2
     K = len(h2)
@@ -99,13 +97,10 @@ def plan_link(
     beta = np.asarray(alloc.beta, dtype=float)
     if not np.all(np.isfinite(beta) & (beta >= 0)):
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    stats = aggregate_noise_stats(
-        pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2,
-        pre_equalized=pre_equalized,
-    )
+    stats = aggregate_noise_stats(pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
-    equalize = np.divide(target, gains, out=np.ones(K), where=pre_equalized & (gains > 0))
+    equalize = np.divide(target, gains, out=np.ones(K), where=gains > 0)
     mean = np.zeros(K)
     var = np.zeros(K)
     for (pos, neg), secret in zip(pairing.pairs, secrets):
@@ -189,7 +184,6 @@ def simulate_aggregation_rounds(
     sigma_z2: float,
     n_rounds: int,
     rng: Generator,
-    pre_equalized: bool = True,
 ) -> np.ndarray:
     """Vectorized Monte Carlo of many independent rounds with fixed gradients.
 
@@ -198,19 +192,17 @@ def simulate_aggregation_rounds(
     counts; each user's noise is drawn over the rounds axis in turn, so
     memory stays at two (n_rounds, d) arrays whatever K is.
     """
-    plan = plan_link(realization, alloc, pairing, secrets, sigma_z2, pre_equalized)
+    plan = plan_link(realization, alloc, pairing, secrets, sigma_z2)
     K, d = gradients.shape
     signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)
-    eff = np.full(K, equalized_gain(plan.gains)) if pre_equalized else plan.gains
+    c = equalized_gain(plan.gains)
 
     received = np.tile(signal, (n_rounds, 1))
     for k in range(K):
         if plan.gains[k] == 0:
             continue
-        # receiver sees eff[k] * n_k per user; draw the scaled noise directly
-        received += rng.normal(
-            eff[k] * plan.mean[k], eff[k] * plan.sd[k], size=(n_rounds, d)
-        )
+        # receiver sees c * n_k per user; draw the scaled noise directly
+        received += rng.normal(c * plan.mean[k], c * plan.sd[k], size=(n_rounds, d))
     if sigma_z2 > 0:
         received += rng.normal(0.0, np.sqrt(sigma_z2), size=(n_rounds, d))
     return received / (alloc.m * K)

@@ -32,27 +32,19 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Static channel parameters shared by all realizations of a run.
-
-    delta_h is the linear gain gap between the server link and the
-    eavesdropper link: |h_ev|^2 = max(|h|^2 - delta_h, 0).  delta_h = 0 models
-    an eavesdropper as capable as the aggregation server.
-    """
+    """Static channel parameters shared by all realizations of a run."""
 
     fading_mode: str = "rayleigh"  # "rayleigh" or "fixed"
     sigma_z2: float = 1.0
-    delta_h: float = 0.0
     fixed_gains: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.fading_mode not in ("rayleigh", "fixed"):
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
-        for name in ("sigma_z2", "delta_h"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if not np.isfinite(self.sigma_z2):
+            raise ValueError(f"sigma_z2 must be finite, got {self.sigma_z2}")
+        if self.sigma_z2 < 0:
+            raise ValueError("sigma_z2 must be nonnegative")
         if self.fading_mode == "fixed":
             if self.fixed_gains is None:
                 raise ValueError("fixed fading mode requires fixed_gains")
@@ -64,18 +56,16 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-user linear power gains for the server and eavesdropper links."""
+    """Per-user linear power gains |h_k|^2 of the server link."""
 
     h2: np.ndarray
-    h2_ev: np.ndarray
 
 
 def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelRealization:
     """Draw one channel realization for K users.
 
     In rayleigh mode |h_k|^2 is exponential with unit mean; in fixed mode the
-    configured gains are used verbatim.  Eavesdropper gains follow the
-    delta_h rule.
+    configured gains are used verbatim.
     """
     if K < 1:
         raise ValueError("empty system: need at least one user")
@@ -87,8 +77,7 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelReal
                 f"fixed_gains has length {len(config.fixed_gains)}, expected K={K}"
             )
         h2 = np.asarray(config.fixed_gains, dtype=float)
-    h2_ev = np.maximum(h2 - config.delta_h, 0.0)
-    return ChannelRealization(h2=h2, h2_ev=h2_ev)
+    return ChannelRealization(h2=h2)
 
 
 def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:

@@ -52,16 +52,13 @@ class TrainState:
     w: np.ndarray
     loss_history: list[float] = field(default_factory=list)
     gap_history: list[float] = field(default_factory=list)
-    shat_sq_sum: float = 0.0
 
 
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs to the closed-form convergence bound.
 
-    noise_power_sum is sum_k |h_k|^2 beta_k P_k.  g2 optionally records the
-    empirical second moment E||s_hat||^2 for reporting; it does not enter
-    the bound formula.
+    noise_power_sum is sum_k |h_k|^2 beta_k P_k.
     """
 
     mu: float
@@ -73,7 +70,6 @@ class BoundInputs:
     K: int
     noise_power_sum: float
     sigma_z2: float
-    g2: float | None = None
 
 
 def make_task(
@@ -165,8 +161,12 @@ class TrainSettings:
     eta: float | None = None  # None -> 1/(reg_lambda * t) schedule
 
     def __post_init__(self) -> None:
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
+            raise ValueError(f"T must be an integer, got {self.T!r}")
         if not self.T >= 1:
             raise ValueError(f"T must be at least 1, got {self.T}")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"power must be finite and positive, got {self.power}")
         if self.eta is not None and not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
 
@@ -231,7 +231,6 @@ def train_over_air(
         s_hat = simulate_round(_gradients_at(resid, state.w, task), plan, next(block))
         eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
         state.w = state.w - eta * s_hat
-        state.shat_sq_sum += float(s_hat @ s_hat)
         resid = _residual(state.w, task)
         loss = _loss_at(resid, state.w, task)
         state.loss_history.append(loss)
@@ -253,6 +252,5 @@ def train_over_air(
         K=K,
         noise_power_sum=float(np.sum(realization.h2 * beta * P)),
         sigma_z2=channel_config.sigma_z2,
-        g2=state.shat_sq_sum / settings.T,
     )
     return state, bound_inputs

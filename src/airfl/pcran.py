@@ -155,7 +155,11 @@ def compute_alignment(
     eff = h2 * P
     if not np.all(np.isfinite(eff)):
         raise ValueError("channel gains and powers must be finite")
-    if np.any(eff <= 0):
+    if np.any(P <= 0):
+        raise ValueError(f"transmit power P must be positive, got {P}")
+    if np.any(h2 < 0):
+        raise ValueError(f"channel gain h2 must be nonnegative, got {h2}")
+    if np.any(eff == 0):
         raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
     worst = float(eff.min())  # first index wins on ties via min
     m = float(np.sqrt(alpha_cap * worst) / L_s)
@@ -186,15 +190,20 @@ def optimize_beta_dp(
     P = np.asarray(P, dtype=float)
     eps = np.asarray(eps, dtype=float)
     caps = np.asarray(caps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("all privacy levels eps must be positive")
+    if not (h2.ndim == 1 and h2.shape == P.shape == eps.shape == caps.shape):
+        raise ValueError(f"h2, P, eps and caps need one entry per user, got shapes "
+                         f"{h2.shape}, {P.shape}, {eps.shape} and {caps.shape}")
+    if not np.all(eps > 0):
+        raise ValueError(f"all privacy levels eps must be positive, got {eps}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if np.any(caps < 0):
-        raise ValueError("caps must be nonnegative")
+    if not (np.isfinite(sigma_z2) and sigma_z2 >= 0):
+        raise ValueError(f"sigma_z2 must be finite and nonnegative, got {sigma_z2}")
+    if not np.all(caps >= 0):
+        raise ValueError(f"caps must be nonnegative, got {caps}")
     eff = h2 * P
-    if np.any(eff <= 0):
-        raise ValueError("degenerate channel: zero gain")
+    if not np.all(np.isfinite(eff) & (eff > 0)):
+        raise ValueError("degenerate channel: gains and powers must be finite and positive")
 
     worst = float(eff.min())
     psi = float(np.max(worst / eps) * np.log(1.25 / delta) - sigma_z2)
@@ -232,22 +241,20 @@ def aggregate_noise_stats(
     beta: np.ndarray,
     m: float,
     sigma_z2: float,
-    pre_equalized: bool = True,
 ) -> NoiseStats:
     """Predicted statistics of the aggregated PCR-AN term.
 
     sigma_A2 sums sigma2_pos + sigma2_neg over pairs; M sums the effective
-    noise gains of the positive-role users scaled by 1/(mK).  With
-    pre-equalization every user's effective gain equals the common minimum.
-    The residual variance is sigma_zprime2 = M^2 sigma_A2 + sigma_z2, and the
-    predicted mean of the aggregated noise term is exactly zero.
+    noise gains of the positive-role users scaled by 1/(mK).  Pre-equalization
+    makes every user's effective gain the common minimum, so the pairwise
+    means cancel and the aggregated noise term has mean exactly zero.  The
+    residual variance is sigma_zprime2 = M^2 sigma_A2 + sigma_z2.
     """
     if len(secrets) != len(pairing.pairs):
         raise ValueError("need one secret per pair")
     K = pairing.num_users
     gains = noise_gains(h2, P, beta)
-    if pre_equalized:
-        gains = np.full_like(gains, equalized_gain(gains))
+    gains = np.full_like(gains, equalized_gain(gains))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
     M = float(sum(gains[pos] for pos, _ in pairing.pairs) / (m * K))
     sigma_zprime2 = M**2 * sigma_A2 + sigma_z2

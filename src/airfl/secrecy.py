@@ -8,12 +8,15 @@ common random numbers across sweep points.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
 
 from .channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
+
+# the sweep's fading model: Rayleigh gains with unit mean
+_FADING = ChannelConfig()
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,13 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     S = sqrt(alpha_a P_a)/L_s; the eavesdropper sees noise sigma_z2 +
     sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).
     """
+    if not np.all(np.isfinite(astuple(inp))):
+        raise ValueError(f"secrecy inputs must be finite, got {inp}")
     S = np.sqrt(inp.alpha_a * inp.P_a) / inp.L_s
-    if inp.sigma_zprime2 <= 0:
+    if not inp.sigma_zprime2 > 0:
         raise ValueError("residual noise variance sigma_zprime2 must be positive")
     ev_noise = inp.sigma_z2 + inp.sigma_a2
-    if ev_noise <= 0:
+    if not ev_noise > 0:
         raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
     snr_s = S * inp.h2_a / inp.sigma_zprime2
     c_s = np.log2(S * inp.h2_a + inp.sigma_zprime2) - np.log2(inp.sigma_zprime2)
@@ -70,12 +75,13 @@ class SecrecySweep:
     """Grid of sweep coordinates for the Monte Carlo engine.
 
     Every combination of (alpha, power, delta_h, sigma_A2) is evaluated over
-    the same fading draws (common random numbers).  sigma_zprime2 for each
-    point is m_factor^2 * sigma_A2 + sigma_z2.  Construction rejects a
-    non-finite value, a dB value above MAX_DB (its linear power overflows),
-    an alpha outside [0, 1], L_s <= 0, a negative sigma_z2 or delta_h, and a
-    point whose residual or eavesdropper noise is not positive, any of which
-    would turn the means into NaN or leave the model.
+    the same Rayleigh fading draws (common random numbers).  sigma_zprime2
+    for each point is sigma_A2 + sigma_z2, and the eavesdropper's gain is
+    max(|h|^2 - delta_h, 0).  Construction rejects a non-finite value, a dB
+    value above MAX_DB (its linear power overflows), an alpha outside
+    [0, 1], L_s <= 0, a negative sigma_z2 or delta_h, and a point whose
+    residual or eavesdropper noise is not positive, any of which would turn
+    the means into NaN or leave the model.
     """
 
     alpha_grid: tuple[float, ...]
@@ -85,10 +91,6 @@ class SecrecySweep:
     sigma_a2_db: float = 25.0
     sigma_z2: float = 1.0
     L_s: float = 1.0
-    m_factor: float = 1.0
-    fading: ChannelConfig = field(
-        default_factory=lambda: ChannelConfig(fading_mode="rayleigh")
-    )
 
     def __post_init__(self) -> None:
         grids = {
@@ -100,7 +102,7 @@ class SecrecySweep:
         if not all(grids.values()):
             raise ValueError("empty sweep grid")
         scalars = {name: (getattr(self, name),)
-                   for name in ("sigma_a2_db", "sigma_z2", "L_s", "m_factor")}
+                   for name in ("sigma_a2_db", "sigma_z2", "L_s")}
         for name, values in {**grids, **scalars}.items():
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite, got {values}")
@@ -124,8 +126,8 @@ class SecrecySweep:
             raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
 
     def residual_noise(self, sigma_A2_db: float) -> float:
-        """The server's sigma_zprime2 = m_factor^2 * sigma_A2 + sigma_z2."""
-        return self.m_factor**2 * db_to_linear(sigma_A2_db) + self.sigma_z2
+        """The server's sigma_zprime2 = sigma_A2 + sigma_z2."""
+        return db_to_linear(sigma_A2_db) + self.sigma_z2
 
     def eavesdropper_noise(self) -> float:
         """The eavesdropper's noise sigma_z2 + sigma_a2 (no cancellation)."""
@@ -201,7 +203,7 @@ def monte_carlo_secrecy(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    h2 = sample_gains(sweep.fading, n_samples, rng)
+    h2 = sample_gains(_FADING, n_samples, rng)
     ev_noise = sweep.eavesdropper_noise()
     log2_ev_noise = np.log2(ev_noise)
     delta_hs = list(dict.fromkeys(sweep.delta_h_grid))

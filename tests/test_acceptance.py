@@ -162,7 +162,7 @@ def test_criterion_5_cancellation_unbiasedness():
     gradients = np.array([[0.3, -0.2], [0.1, 0.4]])
     n = 10**6
     s_hat = simulate_aggregation_rounds(
-        gradients, ChannelRealization(h2=h2, h2_ev=h2.copy()), alloc, pairing,
+        gradients, ChannelRealization(h2=h2), alloc, pairing,
         secrets, sigma_z2, n, np.random.default_rng(31),
     )
     residual = s_hat - gradients.mean(axis=0)

@@ -38,13 +38,12 @@ def make_alloc(h2, P, L_s=1.0, beta=0.0, alpha_cap=1.0):
 QUIET = PairSecret(mu=0.0, sigma2_pos=0.0, sigma2_neg=0.0)
 
 
-def make_plan(h2, alloc, secrets=None, sigma_z2=0.0, pre_equalized=True):
+def make_plan(h2, alloc, secrets=None, sigma_z2=0.0):
     """Plan for users paired (0, 1), (2, 3), ...; silent noise by default."""
     h2 = np.asarray(h2, dtype=float)
     pairing = Pairing(pairs=tuple((i, i + 1) for i in range(0, len(h2), 2)))
     secrets = secrets or [QUIET] * len(pairing.pairs)
-    real = ChannelRealization(h2=h2, h2_ev=h2.copy())
-    return plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+    return plan_link(ChannelRealization(h2=h2), alloc, pairing, secrets, sigma_z2)
 
 
 def run_round(gradients, plan, gen):
@@ -64,8 +63,7 @@ def reference_clip(g, L_s):
     return g if norm <= L_s else g * (L_s / norm)
 
 
-def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen,
-                    pre_equalized=True):
+def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen):
     """Per-user aggregation round: clip -> draw_pcran -> equalize -> payload,
     then z, summed as z first and users in index order."""
     K, d = gradients.shape
@@ -79,7 +77,7 @@ def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen,
         s_k = reference_clip(gradients[k], alloc.L_s)
         i, role = roles[k]
         n_k = draw_pcran(secrets[i], role, d, gen)
-        if pre_equalized and gains[k] > 0:
+        if gains[k] > 0:
             n_k = n_k * (target / gains[k])
         h = np.sqrt(real.h2[k])
         sig_amp = h * np.sqrt(alloc.alpha[k] * alloc.P[k]) / alloc.L_s
@@ -122,14 +120,18 @@ class TestClipGradient:
             clip_gradient(np.ones(3), L_s)
 
 
-def random_link(K, d, silent, seed):
+def random_link(K, d, silent, seed, muted=False):
     """A random K-user link with shuffled pairs and d-dimensional gradients,
     one of which must be clipped; silent gives the first pair zero variances
-    and, for K > 2, one user of the second pair."""
+    and, for K > 2, one user of the second pair; muted gives user 0 no noise
+    power (beta = 0), so its noise gain is 0 and so is the equalization
+    target of every user."""
     r = rng(seed)
     h2 = r.exponential(size=K)
     alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
-    real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+    if muted:
+        alloc = replace(alloc, beta=np.where(np.arange(K) == 0, 0.0, alloc.beta))
+    real = ChannelRealization(h2=h2)
     perm = r.permutation(K)
     pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
                                   for i in range(K // 2)))
@@ -147,34 +149,34 @@ def random_link(K, d, silent, seed):
 class TestRoundKernelExact:
     @pytest.mark.parametrize("K", [2, 10])
     @pytest.mark.parametrize("d", [1, 30])
-    @pytest.mark.parametrize("pre_equalized", [True, False])
+    @pytest.mark.parametrize("muted", [True, False])
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("silent", [True, False])
-    def test_matches_per_user_loop(self, K, d, pre_equalized, sigma_z2, silent):
-        real, alloc, pairing, secrets, grads = random_link(K, d, silent, K * 1000 + d)
-        plan = plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+    def test_matches_per_user_loop(self, K, d, muted, sigma_z2, silent):
+        real, alloc, pairing, secrets, grads = random_link(K, d, silent, K * 1000 + d,
+                                                           muted)
+        plan = plan_link(real, alloc, pairing, secrets, sigma_z2)
         gen_kernel, gen_loop = rng(5), rng(5)
         for _ in range(3):
             est = run_round(grads, plan, gen_kernel)
             ref = reference_round(grads, real, alloc, pairing, secrets, sigma_z2,
-                                  gen_loop, pre_equalized)
+                                  gen_loop)
             assert np.array_equal(est, ref)
         # both consumed the stream identically
         assert gen_kernel.random() == gen_loop.random()
         assert plan.noise_stats == aggregate_noise_stats(
-            pairing, secrets, real.h2, alloc.P, alloc.beta, alloc.m, sigma_z2,
-            pre_equalized=pre_equalized,
+            pairing, secrets, real.h2, alloc.P, alloc.beta, alloc.m, sigma_z2
         )
 
 
 class TestDrawNoise:
     @pytest.mark.parametrize("K", [2, 10])
-    @pytest.mark.parametrize("pre_equalized", [True, False])
+    @pytest.mark.parametrize("muted", [True, False])
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("silent", [True, False])
-    def test_block_equals_stacked_rounds(self, K, pre_equalized, sigma_z2, silent):
-        real, alloc, pairing, secrets, _ = random_link(K, 3, silent, K)
-        plan = plan_link(real, alloc, pairing, secrets, sigma_z2, pre_equalized)
+    def test_block_equals_stacked_rounds(self, K, muted, sigma_z2, silent):
+        real, alloc, pairing, secrets, _ = random_link(K, 3, silent, K, muted)
+        plan = plan_link(real, alloc, pairing, secrets, sigma_z2)
         gen_block, gen_rounds = rng(9), rng(9)
         block = draw_noise(plan, 6, 3, gen_block)
         rounds = np.stack([draw_noise(plan, 1, 3, gen_rounds)[0] for _ in range(6)])
@@ -213,10 +215,11 @@ class TestBuildTransmit:
             m=1.0, L_s=1.0,
         )
         secret = PairSecret(mu=1.0, sigma2_pos=0.0, sigma2_neg=0.0)
-        plan = make_plan(h2, alloc, [secret], pre_equalized=False)
+        plan = make_plan(h2, alloc, [secret])
         est = run_round(np.array([[0.5], [-0.3]]), plan, rng())
-        # |h| sqrt(beta P) n: 2 * (+1) + 4 * (-1); the gradients do not enter
-        assert received(est, alloc) == pytest.approx([-2.0])
+        # equalized gain min |h| sqrt(beta P) = 2: 2 * (+1) + 2 * (-1); the
+        # gradients do not enter
+        assert np.array_equal(received(est, alloc), [0.0])
 
     def test_unclipped_gradient_is_clipped(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
@@ -244,7 +247,7 @@ class TestSuperpose:
     def test_empty_frames_rejected(self):
         empty = np.zeros(0)
         alloc = PowerAllocation(P=empty, alpha=empty, beta=empty, m=1.0, L_s=1.0)
-        real = ChannelRealization(h2=empty, h2_ev=empty)
+        real = ChannelRealization(h2=empty)
         with pytest.raises(ValueError, match="no transmitters"):
             plan_link(real, alloc, Pairing(pairs=()), [], 0.0)
 
@@ -282,7 +285,7 @@ class TestLinkPlan:
     def test_pairing_must_cover_every_user(self):
         h2 = np.ones(4)
         alloc = make_alloc(h2, np.ones(4))
-        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+        real = ChannelRealization(h2=h2)
         for pairs in (((0, 1),), ((0, 1), (2, 4))):
             with pytest.raises(ValueError, match="perfect matching"):
                 plan_link(real, alloc, Pairing(pairs=pairs), [QUIET] * len(pairs), 0.0)
@@ -308,7 +311,7 @@ class TestLinkPlan:
     def test_amplitudes(self):
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=2.0, beta=0.5, alpha_cap=0.5)
-        plan = make_plan(h2, alloc, pre_equalized=True)
+        plan = make_plan(h2, alloc)
         assert plan.sig_amp == pytest.approx([alloc.m, alloc.m])
         assert plan.noise_amp == pytest.approx(np.sqrt(h2 * alloc.beta))
         assert plan.noise_amp * plan.equalize == pytest.approx(np.full(2, plan.gains.min()))
@@ -337,7 +340,7 @@ class TestPostprocess:
 class TestSimulateRound:
     def setup_scenario(self, beta=0.5, sigma=1.0):
         h2 = np.array([1.0, 4.0])
-        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+        real = ChannelRealization(h2=h2)
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=beta, alpha_cap=0.5)
         pairing = Pairing(pairs=((0, 1),))
         secrets = [PairSecret(mu=1.0, sigma2_pos=sigma, sigma2_neg=2 * sigma)]
@@ -380,7 +383,7 @@ class TestSimulateRound:
         # two-user point with m*K = 1, where M^-1 * A_t has variance sigma_A2
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=0.5, alpha_cap=0.5)
-        real = ChannelRealization(h2=h2, h2_ev=h2.copy())
+        real = ChannelRealization(h2=h2)
         pairing = Pairing(pairs=((0, 1),))
         secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
         stats = aggregate_noise_stats(
@@ -394,13 +397,10 @@ class TestSimulateRound:
         assert abs(standardized.var() / stats.sigma_A2 - 1.0) < 0.02
         assert abs(a_t.mean()) < 5 * np.sqrt(stats.M**2 * stats.sigma_A2 / n)
 
-    def test_unequalized_cancellation_is_imperfect(self):
+    def test_equalized_cancellation_is_exact_under_unequal_gains(self):
         real, alloc, pairing, secrets = self.setup_scenario(sigma=0.0)
-        # zero variances: any residual mean comes from unequal noise gains
-        grads = np.zeros((2, 1))
-        raw = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=False)
-        est = run_round(grads, raw, rng(5))
-        assert abs(est[0]) > 0.01
-        equalized = plan_link(real, alloc, pairing, secrets, 0.0, pre_equalized=True)
-        est_eq = run_round(grads, equalized, rng(5))
-        assert est_eq[0] == pytest.approx(0.0, abs=1e-12)
+        # zero variances and raw noise gains 1 : 2; equalization leaves no mean
+        assert len(set(noise_gains(real.h2, alloc.P, alloc.beta))) == 2
+        plan = plan_link(real, alloc, pairing, secrets, 0.0)
+        est = run_round(np.zeros((2, 1)), plan, rng(5))
+        assert est[0] == pytest.approx(0.0, abs=1e-12)

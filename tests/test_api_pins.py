@@ -1,0 +1,72 @@
+"""Pins of the model layer's API and of the names the bench tracer wraps."""
+import importlib
+import importlib.util
+import inspect
+from dataclasses import fields
+from pathlib import Path
+
+from airfl.aircomp import plan_link, simulate_aggregation_rounds
+from airfl.channel import ChannelConfig, ChannelRealization
+from airfl.fl_core import BoundInputs
+from airfl.pcran import aggregate_noise_stats
+from airfl.secrecy import SecrecySweep
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def names(dataclass):
+    return [f.name for f in fields(dataclass)]
+
+
+def params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_model_api_is_pinned():
+    # an option no experiment sets is an untested model; adding one back must
+    # change this list on purpose (TrainState is pinned with the training API)
+    assert names(ChannelConfig) == ["fading_mode", "sigma_z2", "fixed_gains"]
+    assert names(ChannelRealization) == ["h2"]
+    assert names(SecrecySweep) == [
+        "alpha_grid", "power_db_grid", "delta_h_grid", "sigma_A2_db_grid",
+        "sigma_a2_db", "sigma_z2", "L_s"]
+    assert names(BoundInputs) == [
+        "mu", "lam", "T", "L_s", "d", "m", "K", "noise_power_sum", "sigma_z2"]
+    assert params(plan_link) == ["realization", "alloc", "pairing", "secrets", "sigma_z2"]
+    assert params(aggregate_noise_stats) == [
+        "pairing", "secrets", "h2", "P", "beta", "m", "sigma_z2"]
+    assert params(simulate_aggregation_rounds) == [
+        "gradients", "realization", "alloc", "pairing", "secrets", "sigma_z2",
+        "n_rounds", "rng"]
+
+
+def load_spans():
+    """bench/spans.py as it is on disk, imported without the bench harness."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_pins_resolve():
+    # the tracer replaces each pinned name in its module on every traced run;
+    # a missing name or a work counter that cannot take the target's
+    # positional arguments fails there, so check both here without running it
+    spans = load_spans()
+    for mod_name, attr, *_ in spans.CALL_SITES + spans.COUNTED:
+        module = importlib.import_module(f"airfl.{mod_name}")
+        assert hasattr(module, attr), f"bench/spans.py pins airfl.{mod_name}.{attr}"
+    for mod_name, attr, _, work in spans.CALL_SITES:
+        if work is None:
+            continue
+        target = getattr(importlib.import_module(f"airfl.{mod_name}"), attr)
+        positional = [p for p in inspect.signature(target).parameters.values()
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        try:
+            inspect.signature(work).bind(*positional)
+        except TypeError as exc:
+            raise AssertionError(
+                f"bench/spans.py counts airfl.{mod_name}.{attr} with {work.__name__}, "
+                f"which cannot take its positional parameters "
+                f"{[p.name for p in positional]}: {exc}"
+            ) from None

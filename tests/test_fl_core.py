@@ -291,11 +291,17 @@ class TestTrainOverAir:
         with pytest.raises(ValueError, match="eta"):
             TrainSettings(T=5, eta=eta)
 
-    def test_reports_second_moment(self):
-        task = small_task(5, K=2)
-        settings = TrainSettings(T=20, beta=0.5)
-        _, binp = train_over_air(task, ChannelConfig(), settings, rng(1))
-        assert binp.g2 is not None and binp.g2 > 0
+    @pytest.mark.parametrize("T", [2.5, True, "3"])
+    def test_non_integer_rounds_rejected(self, T):
+        # T=2.5 once failed later with a TypeError in range
+        with pytest.raises(ValueError, match="T must be an integer"):
+            TrainSettings(T=T)
+
+    @pytest.mark.parametrize("power", [-1.0, 0.0, np.nan, np.inf])
+    def test_non_positive_power_rejected(self, power):
+        # power=-1 once failed in training as "degenerate channel: zero gain"
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            TrainSettings(T=3, power=power)
 
 
 def test_make_task_validation():
@@ -316,7 +322,7 @@ def test_training_api_parameters_are_pinned():
     assert [f.name for f in fields(TrainSettings)] == [
         "T", "L_s", "power", "alpha_cap", "beta", "eta"]
     assert [f.name for f in fields(TrainState)] == [
-        "w", "loss_history", "gap_history", "shat_sq_sum"]
+        "w", "loss_history", "gap_history"]
     assert params(make_task) == ["K", "n_per_user", "d", "reg_lambda", "rng"]
     assert params(train_over_air) == ["task", "channel_config", "settings", "rng"]
     assert params(centralized_gd) == ["task", "settings"]

@@ -119,6 +119,16 @@ class TestComputeAlignment:
         with pytest.raises(ValueError, match="L_s"):
             compute_alignment(np.ones(2), np.ones(2), L_s)
 
+    @pytest.mark.parametrize("P", [[1.0, -1.0], [0.0, 1.0]])
+    def test_non_positive_power_named(self, P):
+        # was reported as a zero channel gain
+        with pytest.raises(ValueError, match="transmit power P must be positive"):
+            compute_alignment(np.ones(2), np.array(P), 1.0)
+
+    def test_negative_gain_named(self):
+        with pytest.raises(ValueError, match="channel gain h2 must be nonnegative"):
+            compute_alignment(np.array([-1.0, 1.0]), np.ones(2), 1.0)
+
 
 class TestOptimizeBetaDp:
     def test_weak_privacy_demand_needs_no_noise(self):
@@ -172,17 +182,30 @@ class TestOptimizeBetaDp:
         with pytest.raises(ValueError):
             optimize_beta_dp(h2, P, np.array([1.0]), 1.5, 1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("eps, sigma_z2, caps, match", [
+        ([np.nan, 1.0], 1.0, [1.0, 1.0], "eps"),
+        ([1.0, 1.0], np.nan, [1.0, 1.0], "sigma_z2"),
+        ([1.0, 1.0], np.inf, [1.0, 1.0], "sigma_z2"),
+        ([1.0, 1.0], 1.0, [np.nan, 1.0], "caps"),
+        ([1.0, 1.0, 1.0], 1.0, [1.0, 1.0], "one entry per user"),
+        ([1.0, 1.0], 1.0, [1.0], "one entry per user"),
+    ])
+    def test_nan_and_mismatched_inputs_rejected(self, eps, sigma_z2, caps, match):
+        # each once returned psi = nan, a NaN beta or a silently broadcast
+        # allocation
+        with pytest.raises(ValueError, match=match):
+            optimize_beta_dp(np.ones(2), np.ones(2), np.array(eps), 0.1, sigma_z2,
+                             np.array(caps))
+
 
 class TestAggregateNoiseStats:
-    def make(self, sigmas, h2, P, beta, m, sigma_z2, pre_equalized=True):
+    def make(self, sigmas, h2, P, beta, m, sigma_z2):
         K = 2 * len(sigmas)
         pairing = Pairing(pairs=tuple((2 * i, 2 * i + 1) for i in range(len(sigmas))))
         secrets = [
             PairSecret(mu=1.0, sigma2_pos=sp, sigma2_neg=sn) for sp, sn in sigmas
         ]
-        return aggregate_noise_stats(
-            pairing, secrets, h2, P, beta, m, sigma_z2, pre_equalized=pre_equalized
-        )
+        return aggregate_noise_stats(pairing, secrets, h2, P, beta, m, sigma_z2)
 
     def test_sigma_a2_sums_pairs(self):
         stats = self.make(

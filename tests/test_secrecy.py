@@ -66,6 +66,13 @@ class TestSecrecyPoint:
         with pytest.raises(ValueError, match="eavesdropper"):
             point(sigma_z2=0.0, sigma_a2=0.0)
 
+    @pytest.mark.parametrize("name", ["h2_a", "sigma_zprime2", "h2_ev", "alpha_a"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, name, value):
+        # a NaN h2_a or sigma_zprime2 once gave c = nan
+        with pytest.raises(ValueError, match="finite"):
+            point(**{name: value})
+
 
 def base_sweep(**kw):
     base = dict(
@@ -84,19 +91,23 @@ class TestMonteCarloSecrecy:
             if r.alpha == 0.0:
                 assert r.mean_c == 0.0
 
-    def test_fixed_channel_reduces_to_secrecy_point(self):
+    def test_engine_is_mean_of_secrecy_point(self):
         sweep = base_sweep(
             alpha_grid=(0.25,), power_db_grid=(10.0,), delta_h_grid=(0.5,),
             sigma_A2_db_grid=(3.0,),
-            fading=ChannelConfig(fading_mode="fixed", fixed_gains=(2.0,)),
         )
         res = monte_carlo_secrecy(sweep, 100, seed=2)[0]
-        expected = secrecy_point(SecrecyInputs(
-            alpha_a=0.25, P_a=db_to_linear(10.0), L_s=1.0, h2_a=2.0, h2_ev=1.5,
-            sigma_z2=1.0, sigma_a2=db_to_linear(25.0),
+        h2 = sample_gains(ChannelConfig(), 100, np.random.default_rng(2))
+        per_sample = [secrecy_point(SecrecyInputs(
+            alpha_a=0.25, P_a=db_to_linear(10.0), L_s=1.0, h2_a=h,
+            h2_ev=max(h - 0.5, 0.0), sigma_z2=1.0, sigma_a2=db_to_linear(25.0),
             sigma_zprime2=1.0 + db_to_linear(3.0),
-        ))
-        assert res.mean_c == pytest.approx(expected.c, rel=1e-12)
+        )) for h in h2]
+        assert res.mean_c > 0
+        assert res.mean_c == pytest.approx(np.mean([p.c for p in per_sample]), rel=1e-12)
+        assert res.mean_c_s == pytest.approx(np.mean([p.c_s for p in per_sample]), rel=1e-12)
+        assert res.mean_c_ev == pytest.approx(np.mean([p.c_ev for p in per_sample]),
+                                              rel=1e-12)
 
     def test_nondecreasing_in_alpha(self):
         results = monte_carlo_secrecy(base_sweep(), 5000, seed=3)
@@ -143,7 +154,7 @@ class TestSweepValidation:
         {"L_s": 0.0},
         {"L_s": -1.0},
         {"L_s": float("inf")},
-        {"m_factor": float("nan")},
+        {"delta_h_grid": (float("nan"),)},
     ])
     def test_bad_value_rejected(self, kw):
         # each of these once gave NaN or out-of-model means without an error
@@ -152,7 +163,8 @@ class TestSweepValidation:
 
     def test_zero_residual_noise_rejected(self):
         with pytest.raises(ValueError, match="sigma_zprime2"):
-            base_sweep(sigma_z2=0.0, m_factor=0.0)
+            # 10^(-400) underflows to 0, so the server would see no noise
+            base_sweep(sigma_z2=0.0, sigma_A2_db_grid=(-4000.0,))
 
     def test_zero_eavesdropper_noise_rejected(self):
         # 10^(-400) underflows to 0, so the eavesdropper would see no noise
@@ -184,14 +196,14 @@ class TestSweepValidation:
 def reference_sweep(sweep, n_samples, seed):
     """The per-point full-array loop the blocked engine replaced."""
     rng = np.random.default_rng(seed)
-    h2 = sample_gains(sweep.fading, n_samples, rng)
+    h2 = sample_gains(ChannelConfig(), n_samples, rng)
     ev_noise = sweep.sigma_z2 + db_to_linear(sweep.sigma_a2_db)
     results = []
     for alpha, p_db, delta_h, sA2_db in product(
         sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
     ):
         S = np.sqrt(alpha * db_to_linear(p_db)) / sweep.L_s
-        sigma_zprime2 = sweep.m_factor**2 * db_to_linear(sA2_db) + sweep.sigma_z2
+        sigma_zprime2 = db_to_linear(sA2_db) + sweep.sigma_z2
         h2_ev = np.maximum(h2 - delta_h, 0.0)
         c_s = np.log2(S * h2 + sigma_zprime2) - np.log2(sigma_zprime2)
         c_ev = np.log2(S * h2_ev + ev_noise) - np.log2(ev_noise)
@@ -224,7 +236,6 @@ EXACT_SWEEPS = {
         sigma_a2_db=20.0,
         sigma_z2=0.5,
         L_s=2.0,
-        m_factor=2.0,
     ),
 }
 
@@ -235,10 +246,6 @@ class TestBlockedEngineExact:
     def test_matches_full_array_loop(self, name, n):
         sweep = EXACT_SWEEPS[name]
         assert monte_carlo_secrecy(sweep, n, seed=n) == reference_sweep(sweep, n, seed=n)
-
-    def test_fixed_gain_matches_full_array_loop(self):
-        sweep = base_sweep(fading=ChannelConfig(fading_mode="fixed", fixed_gains=(1.5,)))
-        assert monte_carlo_secrecy(sweep, 40_000, 0) == reference_sweep(sweep, 40_000, 0)
 
     @pytest.mark.parametrize("n", TREE_LENGTHS + (3 * 10**6,))
     def test_tree_sum_matches_add_reduce(self, n):
