@@ -10,7 +10,6 @@ gains, and the script prints the bias they would leave.
 import numpy as np
 
 from airfl import (
-    ChannelRealization,
     PairSecret,
     Pairing,
     PowerAllocation,
@@ -31,7 +30,7 @@ mu = 5.0
 secrets = [PairSecret(mu=mu, sigma2_pos=1.0, sigma2_neg=2.0)]
 
 s_hat = simulate_aggregation_rounds(
-    np.zeros((2, 1)), ChannelRealization(h2=h2), alloc, pairing, secrets,
+    np.zeros((2, 1)), h2, alloc, pairing, secrets,
     sigma_z2=1.0, n_rounds=200_000, rng=np.random.default_rng(0),
 )
 stats = aggregate_noise_stats(pairing, secrets, h2, P, beta, m, 1.0)

@@ -11,7 +11,6 @@ from .aircomp import (
 )
 from .channel import (
     ChannelConfig,
-    ChannelRealization,
     awgn,
     db_to_linear,
     sample_channel,
@@ -25,6 +24,7 @@ from .fl_core import (
     all_local_gradients,
     centralized_gd,
     convergence_bound,
+    draw_link,
     global_loss,
     make_task,
     optimal_model,

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .channel import (
-    ChannelRealization,
-    awgn,  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
-)
+from .channel import awgn  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
 from .pcran import (
     NoiseStats,
     Pairing,
@@ -35,20 +32,15 @@ class LinkPlan:
     sig_amp is |h_k| sqrt(alpha_k P_k) / L_s, which alignment makes equal to
     m; noise_amp is |h_k| sqrt(beta_k P_k).  equalize is the pre-equalization
     factor target / gains_k applied to the drawn noise (1 where gains_k = 0).
-    mean and sd are each user's PCR-AN law from its pair role; drawn lists,
-    in index order, the users whose noise variance is nonzero.  loc and
-    scale are (rows, 1) columns of the Gaussian law of each row a round
-    draws: the drawn users' mean and sd, then N(0, sigma_z2) for the
-    receiver when sigma_z2 > 0.
+    loc and scale are (rows, 1) columns of the Gaussian law of each row a
+    round draws: user k's PCR-AN mean and sd from its pair role in row k,
+    then N(0, sigma_z2) for the receiver when sigma_z2 > 0.
     """
 
     sig_amp: np.ndarray
     noise_amp: np.ndarray
     gains: np.ndarray
     equalize: np.ndarray
-    mean: np.ndarray
-    sd: np.ndarray
-    drawn: np.ndarray
     loc: np.ndarray
     scale: np.ndarray
     m: float
@@ -72,7 +64,7 @@ def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
 
 
 def plan_link(
-    realization: ChannelRealization,
+    h2: np.ndarray,
     alloc: PowerAllocation,
     pairing: Pairing,
     secrets: list[PairSecret],
@@ -83,7 +75,6 @@ def plan_link(
     Each user pre-equalizes its noise so the received noise gain is the
     common minimum, which makes the pairwise means cancel exactly.
     """
-    h2 = realization.h2
     K = len(h2)
     if K == 0:
         raise ValueError("no transmitters: the link has no users")
@@ -101,15 +92,13 @@ def plan_link(
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
     equalize = np.divide(target, gains, out=np.ones(K), where=gains > 0)
-    mean = np.zeros(K)
+    loc = np.zeros(K)
     var = np.zeros(K)
     for (pos, neg), secret in zip(pairing.pairs, secrets):
-        mean[pos], var[pos] = secret.mu, secret.sigma2_pos
-        mean[neg], var[neg] = -secret.mu, secret.sigma2_neg
+        loc[pos], var[pos] = secret.mu, secret.sigma2_pos
+        loc[neg], var[neg] = -secret.mu, secret.sigma2_neg
     h = np.sqrt(h2)
-    sd = np.sqrt(var)
-    drawn = np.flatnonzero(var)
-    loc, scale = mean[drawn], sd[drawn]
+    scale = np.sqrt(var)
     if sigma_z2 > 0:  # the receiver's row comes after the users'
         loc, scale = np.append(loc, 0.0), np.append(scale, np.sqrt(sigma_z2))
     return LinkPlan(
@@ -117,9 +106,6 @@ def plan_link(
         noise_amp=h * np.sqrt(alloc.beta * alloc.P),
         gains=gains,
         equalize=equalize,
-        mean=mean,
-        sd=sd,
-        drawn=drawn,
         loc=loc[:, None],
         scale=scale[:, None],
         m=alloc.m,
@@ -134,24 +120,19 @@ def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarra
 
     Row 0 of a round is the receiver noise (zeros when sigma_z2 = 0), row
     1 + k user k's PCR-AN as received, noise_amp_k * equalize_k * n_k.  One
-    standard-normal call reads each round's drawn users in index order, then
-    its receiver row, and the block is shifted and scaled in place the way
+    standard-normal call reads each round's users in index order, then its
+    receiver row, and the block is shifted and scaled in place the way
     Generator.normal computes loc + scale * n; standard_normal keeps no state
     between calls, so a block of R rounds reads what R one-round blocks do.
     """
     K = len(plan.sig_amp)
-    n_drawn = len(plan.drawn)
     z = rng.standard_normal((rounds, len(plan.scale), d))
     z *= plan.scale
     z += plan.loc
     slab = np.empty((rounds, K + 1, d))
-    slab[:, 0] = z[:, n_drawn] if plan.sigma_z2 > 0 else 0.0
+    slab[:, 0] = z[:, K] if plan.sigma_z2 > 0 else 0.0
     noise = slab[:, 1:]
-    if n_drawn == K:
-        noise[...] = z[:, :K]
-    else:  # zero-variance users send their mean, drawing nothing
-        noise[...] = plan.mean[:, None]
-        noise[:, plan.drawn] = z[:, :n_drawn]
+    noise[...] = z[:, :K]
     noise *= plan.equalize[:, None]
     noise *= plan.noise_amp[:, None]
     return slab
@@ -177,7 +158,7 @@ def simulate_round(gradients: np.ndarray, plan: LinkPlan, noise: np.ndarray) -> 
 
 def simulate_aggregation_rounds(
     gradients: np.ndarray,
-    realization: ChannelRealization,
+    h2: np.ndarray,
     alloc: PowerAllocation,
     pairing: Pairing,
     secrets: list[PairSecret],
@@ -192,17 +173,18 @@ def simulate_aggregation_rounds(
     counts; each user's noise is drawn over the rounds axis in turn, so
     memory stays at two (n_rounds, d) arrays whatever K is.
     """
-    plan = plan_link(realization, alloc, pairing, secrets, sigma_z2)
+    plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
     K, d = gradients.shape
     signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)
     c = equalized_gain(plan.gains)
+    # receiver sees c * n_k per user; draw the scaled noise directly
+    loc, scale = c * plan.loc[:K, 0], c * plan.scale[:K, 0]
 
     received = np.tile(signal, (n_rounds, 1))
     for k in range(K):
         if plan.gains[k] == 0:
             continue
-        # receiver sees c * n_k per user; draw the scaled noise directly
-        received += rng.normal(c * plan.mean[k], c * plan.sd[k], size=(n_rounds, d))
+        received += rng.normal(loc[k], scale[k], size=(n_rounds, d))
     if sigma_z2 > 0:
         received += rng.normal(0.0, np.sqrt(sigma_z2), size=(n_rounds, d))
     return received / (alloc.m * K)

@@ -54,15 +54,8 @@ class ChannelConfig:
                 raise ValueError("fixed_gains must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-user linear power gains |h_k|^2 of the server link."""
-
-    h2: np.ndarray
-
-
-def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelRealization:
-    """Draw one channel realization for K users.
+def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
+    """Draw the linear power gains |h_k|^2 of K users' server links.
 
     In rayleigh mode |h_k|^2 is exponential with unit mean; in fixed mode the
     configured gains are used verbatim.
@@ -70,31 +63,24 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> ChannelReal
     if K < 1:
         raise ValueError("empty system: need at least one user")
     if config.fading_mode == "rayleigh":
-        h2 = sample_gains(config, K, rng)
-    else:
-        if len(config.fixed_gains) != K:
-            raise ValueError(
-                f"fixed_gains has length {len(config.fixed_gains)}, expected K={K}"
-            )
-        h2 = np.asarray(config.fixed_gains, dtype=float)
-    return ChannelRealization(h2=h2)
+        return sample_gains(config, K, rng)
+    if len(config.fixed_gains) != K:
+        raise ValueError(
+            f"fixed_gains has length {len(config.fixed_gains)}, expected K={K}"
+        )
+    return np.asarray(config.fixed_gains, dtype=float)
 
 
 def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
-    """Draw n i.i.d. server-link power gains (Monte Carlo helper).
-
-    :func:`sample_channel` draws its Rayleigh gains here; a fixed-mode config
-    with a single gain yields a constant vector.
-    """
+    """Draw n i.i.d. Rayleigh server-link power gains (Monte Carlo helper)."""
+    if config.fading_mode != "rayleigh":
+        raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
+                         f"{config.fading_mode!r}")
     if n < 1:
         raise ValueError("need at least one sample")
-    if config.fading_mode == "rayleigh":
-        re = rng.normal(0.0, np.sqrt(0.5), size=n)
-        im = rng.normal(0.0, np.sqrt(0.5), size=n)
-        return re**2 + im**2
-    if len(config.fixed_gains) != 1:
-        raise ValueError("fixed-mode Monte Carlo sampling expects a single gain")
-    return np.full(n, config.fixed_gains[0], dtype=float)
+    re = rng.normal(0.0, np.sqrt(0.5), size=n)
+    im = rng.normal(0.0, np.sqrt(0.5), size=n)
+    return re**2 + im**2
 
 
 def awgn(dim: int, sigma2: float, rng: Generator) -> np.ndarray:

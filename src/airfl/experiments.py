@@ -15,21 +15,22 @@ from typing import ClassVar
 import numpy as np
 
 from .aircomp import simulate_aggregation_rounds
-from .channel import MAX_DB, ChannelConfig, db_to_linear, sample_channel
+from .channel import MAX_DB, ChannelConfig, db_to_linear
+from .channel import sample_channel  # noqa: F401 -- unused; bench/spans.py wraps it
 from .fl_core import (
     TrainSettings,
     convergence_bound,
+    draw_link,
     make_task,
     train_over_air,
 )
 from .pcran import (
-    PowerAllocation,
     aggregate_noise_stats,
-    compute_alignment,
-    draw_secrets,
-    equalized_gain,
-    form_pairs,
-    noise_gains,
+    compute_alignment,  # noqa: F401 -- unused; bench/spans.py wraps it
+    draw_secrets,  # noqa: F401 -- unused; bench/spans.py wraps it
+    equalized_gain,  # noqa: F401 -- unused; bench/spans.py wraps it
+    form_pairs,  # noqa: F401 -- unused; bench/spans.py wraps it
+    noise_gains,  # noqa: F401 -- unused; bench/spans.py wraps it
 )
 from .secrecy import SecrecySweep, monte_carlo_secrecy
 
@@ -56,12 +57,18 @@ def _real(requirement: str, in_range):
     return check
 
 
+# numpy sizes and indices are intp; a larger count fails inside numpy
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 def _count(minimum: int):
     def check(name, value):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        if value > _MAX_COUNT:
+            raise ConfigError(f"{name} must be at most {_MAX_COUNT}, got {value}")
         return value
     return check
 
@@ -400,31 +407,24 @@ def _run_noise_check(config: NoiseCheckConfig) -> tuple[list[str], list[tuple]]:
     rng = np.random.default_rng([config.seed, 29])
     K = config.users
     chan = ChannelConfig(fading_mode="rayleigh", sigma_z2=config.sigma_z2)
-    realization = sample_channel(chan, K, rng)
-    P = np.full(K, db_to_linear(config.powers_db[0]))
-    m, alpha = compute_alignment(realization.h2, P, config.L_s, alpha_cap=config.alpha)
-    beta = np.minimum(np.full(K, config.beta), 1.0 - alpha)
-    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=config.L_s)
-    pairing = form_pairs(K, rng)
-    secrets = draw_secrets(K // 2, rng)
-    stats = aggregate_noise_stats(
-        pairing, secrets, realization.h2, P, beta, m, config.sigma_z2
+    h2, alloc, pairing, secrets = draw_link(
+        chan, K, db_to_linear(config.powers_db[0]), config.L_s, config.alpha,
+        config.beta, rng,
     )
-    gradients = np.zeros((K, 1))
+    stats = aggregate_noise_stats(
+        pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, config.sigma_z2
+    )
     s_hat = simulate_aggregation_rounds(
-        gradients, realization, alloc, pairing, secrets,
+        np.zeros((K, 1)), h2, alloc, pairing, secrets,
         config.sigma_z2, config.samples, rng,
     )
     noise = s_hat[:, 0]
-    # exact per-coordinate variance of the residual under pre-equalization
-    c = equalized_gain(noise_gains(realization.h2, P, beta))
-    exact_var = (c**2 * stats.sigma_A2 + config.sigma_z2) / (m * K) ** 2
-    stderr = np.sqrt(exact_var / config.samples)
+    stderr = np.sqrt(stats.estimator_var / config.samples)
     rows = [
         ("empirical_mean", float(noise.mean())),
         ("mean_stderr", float(stderr)),
         ("empirical_var", float(noise.var())),
-        ("predicted_var", float(exact_var)),
+        ("predicted_var", float(stats.estimator_var)),
         ("sigma_A2", float(stats.sigma_A2)),
         ("sigma_zprime2", float(stats.sigma_zprime2)),
     ]

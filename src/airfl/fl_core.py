@@ -16,7 +16,14 @@ from numpy.random import Generator
 
 from .aircomp import clip_gradient, draw_noise, plan_link, simulate_round
 from .channel import ChannelConfig, sample_channel
-from .pcran import PowerAllocation, compute_alignment, draw_secrets, form_pairs
+from .pcran import (
+    Pairing,
+    PairSecret,
+    PowerAllocation,
+    compute_alignment,
+    draw_secrets,
+    form_pairs,
+)
 
 DIVERGENCE_FACTOR = 1e6
 # doubles of received noise drawn at once (128 KB), like secrecy._BLOCK
@@ -187,6 +194,30 @@ def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
     return state
 
 
+def draw_link(
+    channel_config: ChannelConfig,
+    K: int,
+    power: float,
+    L_s: float,
+    alpha_cap: float,
+    beta: float,
+    rng: Generator,
+) -> tuple[np.ndarray, PowerAllocation, Pairing, list[PairSecret]]:
+    """Draw one run's link: gains, power split, pairs and secrets, in that order.
+
+    Every user transmits at `power`; channel inversion sets m and alpha_k,
+    and each user's noise fraction is beta cut back to 1 - alpha_k.
+    """
+    h2 = sample_channel(channel_config, K, rng)
+    P = np.full(K, power)
+    m, alpha = compute_alignment(h2, P, L_s, alpha_cap=alpha_cap)
+    beta = np.minimum(np.full(K, beta), 1.0 - alpha)
+    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=L_s)
+    pairing = form_pairs(K, rng)
+    secrets = draw_secrets(K // 2, rng)
+    return h2, alloc, pairing, secrets
+
+
 def train_over_air(
     task: SyntheticTask,
     channel_config: ChannelConfig,
@@ -202,18 +233,11 @@ def train_over_air(
     Returns the trajectory plus the bound inputs matching the realized run.
     """
     K = task.K
-    if K % 2 != 0:
-        raise ValueError("pairwise noise scheme needs an even number of users")
-    realization = sample_channel(channel_config, K, rng)
-    P = np.full(K, settings.power)
-    m, alpha = compute_alignment(
-        realization.h2, P, settings.L_s, alpha_cap=settings.alpha_cap
+    h2, alloc, pairing, secrets = draw_link(
+        channel_config, K, settings.power, settings.L_s, settings.alpha_cap,
+        settings.beta, rng,
     )
-    beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
-    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
-    pairing = form_pairs(K, rng)
-    secrets = draw_secrets(K // 2, rng)
-    plan = plan_link(realization, alloc, pairing, secrets, channel_config.sigma_z2)
+    plan = plan_link(h2, alloc, pairing, secrets, channel_config.sigma_z2)
 
     state = TrainState(w=np.zeros(task.d))
     w_star = optimal_model(task)
@@ -248,9 +272,9 @@ def train_over_air(
         T=settings.T,
         L_s=settings.L_s,
         d=task.d,
-        m=m,
+        m=alloc.m,
         K=K,
-        noise_power_sum=float(np.sum(realization.h2 * beta * P)),
+        noise_power_sum=float(np.sum(h2 * alloc.beta * alloc.P)),
         sigma_z2=channel_config.sigma_z2,
     )
     return state, bound_inputs

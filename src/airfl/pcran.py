@@ -30,9 +30,9 @@ class PairSecret:
     sigma2_neg: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and 0 <= self.sigma2_pos < math.inf
-                and 0 <= self.sigma2_neg < math.inf):
-            raise ValueError(f"secret needs a finite mean and finite nonnegative "
+        if not (math.isfinite(self.mu) and 0 < self.sigma2_pos < math.inf
+                and 0 < self.sigma2_neg < math.inf):
+            raise ValueError(f"secret needs a finite mean and finite positive "
                              f"variances, got {self}")
 
 
@@ -68,28 +68,25 @@ class NoiseStats:
     """Aggregated PCR-AN statistics at the aggregation server.
 
     M is the scalar front factor (1/(mK)) * sum over positive-role users of
-    the effective noise gain |h_i| sqrt(beta_i P_i); sigma_A2 sums both
-    variances of every pair; sigma_zprime2 = M^2 sigma_A2 + sigma_z2 is the
-    residual-noise variance.
+    the equalized noise gain c; sigma_A2 sums both variances of every pair.
+    sigma_zprime2 = M^2 sigma_A2 + sigma_z2 is the paper's residual-noise
+    formula.  estimator_var = (c^2 sigma_A2 + sigma_z2) / (mK)^2 is the exact
+    per-coordinate variance of the server's estimate s_hat, the quantity a
+    simulation measures.
     """
 
     M: float
     sigma_A2: float
     sigma_zprime2: float
+    estimator_var: float
 
 
 @dataclass(frozen=True)
 class BetaAllocation:
-    """Result of the privacy-driven noise power allocation.
-
-    beta_raw is the waterfilling output before the physical [0, 1-alpha]
-    clamp; clamped flags which users were cut back.
-    """
+    """Result of the privacy-driven noise power allocation."""
 
     beta: np.ndarray
-    beta_raw: np.ndarray
     psi: float
-    clamped: np.ndarray
 
 
 def form_pairs(K: int, rng: Generator) -> Pairing:
@@ -101,18 +98,14 @@ def form_pairs(K: int, rng: Generator) -> Pairing:
     return Pairing(pairs=pairs)
 
 
-def draw_secrets(
-    n_pairs: int,
-    rng: Generator,
-    mu_range: tuple[float, float] = (0.5, 1.5),
-    sigma2_range: tuple[float, float] = (1.0, 1.0),
-) -> list[PairSecret]:
-    """Draw per-pair secrets with mu and both variances uniform in the ranges."""
+def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
+    """Draw per-pair secrets: mu uniform in [0.5, 1.5] and unit variances,
+    each still read as a uniform on [1, 1] (three uniforms per pair)."""
     secrets = []
     for _ in range(n_pairs):
-        mu = rng.uniform(*mu_range)
-        s_pos = rng.uniform(*sigma2_range)
-        s_neg = rng.uniform(*sigma2_range)
+        mu = rng.uniform(0.5, 1.5)
+        s_pos = rng.uniform(1.0, 1.0)
+        s_neg = rng.uniform(1.0, 1.0)
         secrets.append(PairSecret(mu=mu, sigma2_pos=s_pos, sigma2_neg=s_neg))
     return secrets
 
@@ -127,8 +120,6 @@ def draw_pcran(secret: PairSecret, role: str, dim: int, rng: Generator) -> np.nd
         mean, var = -secret.mu, secret.sigma2_neg
     else:
         raise ValueError(f"role must be 'positive' or 'negative', got {role!r}")
-    if var == 0:
-        return np.full(dim, mean)
     return rng.normal(mean, np.sqrt(var), size=dim)
 
 
@@ -144,7 +135,8 @@ def compute_alignment(
     alpha_k = alpha_cap * min_q(|h_q|^2 P_q) / (|h_k|^2 P_k), so that
     |h_k| sqrt(alpha_k P_k) / L_s = m for every user.  alpha_cap < 1 caps the
     signal power fraction of the worst-SNR user (alpha_cap = 0.5 realizes the
-    "alpha_k = 0.5" operating point on equal-gain channels).
+    "alpha_k = 0.5" operating point on equal-gain channels).  An m that
+    overflows (L_s far below the signal amplitude) is rejected.
     """
     h2 = np.asarray(h2, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -162,7 +154,11 @@ def compute_alignment(
     if np.any(eff == 0):
         raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
     worst = float(eff.min())  # first index wins on ties via min
-    m = float(np.sqrt(alpha_cap * worst) / L_s)
+    # Python floats overflow to inf without numpy's warning
+    m = math.sqrt(alpha_cap * worst) / float(L_s)
+    if not math.isfinite(m):
+        raise ValueError(f"alignment constant m = sqrt(alpha_cap * min |h|^2 P) / L_s "
+                         f"overflows at L_s = {L_s}")
     alpha = alpha_cap * worst / eff
     return m, alpha
 
@@ -182,7 +178,7 @@ def optimize_beta_dp(
     Psi = max_p (min_q |h_q|^2 P_q / eps_p) * ln(1.25/delta) - sigma_z2,
     filled user by user: Z_k = min(cap_k, (Psi - sum_{p<k} U_p)^+) with
     U_p = |h_p|^2 beta_p P_p, and beta_k = Z_k / (|h_k|^2 P_k).  The result
-    is clamped to the physical range [0, 1 - alpha_k] (alpha defaults to 0).
+    is clipped to the physical range [0, 1 - alpha_k] (alpha defaults to 0).
     Psi <= 0 means the privacy demand is already met by channel noise and no
     artificial noise is allocated.
     """
@@ -209,18 +205,16 @@ def optimize_beta_dp(
     psi = float(np.max(worst / eps) * np.log(1.25 / delta) - sigma_z2)
 
     K = len(eff)
-    beta_raw = np.zeros(K)
+    beta = np.zeros(K)
     used = 0.0
     for k in range(K):
         remaining = max(psi - used, 0.0)
         z_k = min(float(caps[k]), remaining)
-        beta_raw[k] = z_k / eff[k]
-        used += eff[k] * beta_raw[k]
+        beta[k] = z_k / eff[k]
+        used += eff[k] * beta[k]
 
     upper = np.ones(K) if alpha is None else 1.0 - np.asarray(alpha, dtype=float)
-    beta = np.clip(beta_raw, 0.0, upper)
-    clamped = beta_raw > upper
-    return BetaAllocation(beta=beta, beta_raw=beta_raw, psi=psi, clamped=clamped)
+    return BetaAllocation(beta=np.clip(beta, 0.0, upper), psi=psi)
 
 
 def noise_gains(h2: np.ndarray, P: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -244,18 +238,17 @@ def aggregate_noise_stats(
 ) -> NoiseStats:
     """Predicted statistics of the aggregated PCR-AN term.
 
-    sigma_A2 sums sigma2_pos + sigma2_neg over pairs; M sums the effective
-    noise gains of the positive-role users scaled by 1/(mK).  Pre-equalization
-    makes every user's effective gain the common minimum, so the pairwise
-    means cancel and the aggregated noise term has mean exactly zero.  The
-    residual variance is sigma_zprime2 = M^2 sigma_A2 + sigma_z2.
+    Pre-equalization makes every user's effective noise gain the common
+    minimum c, so the pairwise means cancel and the aggregated noise term has
+    mean exactly zero.  See :class:`NoiseStats` for the fields.
     """
     if len(secrets) != len(pairing.pairs):
         raise ValueError("need one secret per pair")
     K = pairing.num_users
-    gains = noise_gains(h2, P, beta)
-    gains = np.full_like(gains, equalized_gain(gains))
+    c = equalized_gain(noise_gains(h2, P, beta))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
-    M = float(sum(gains[pos] for pos, _ in pairing.pairs) / (m * K))
+    M = float(sum(c for _ in pairing.pairs) / (m * K))
     sigma_zprime2 = M**2 * sigma_A2 + sigma_z2
-    return NoiseStats(M=M, sigma_A2=sigma_A2, sigma_zprime2=sigma_zprime2)
+    estimator_var = (c**2 * sigma_A2 + sigma_z2) / (m * K) ** 2
+    return NoiseStats(M=M, sigma_A2=sigma_A2, sigma_zprime2=sigma_zprime2,
+                      estimator_var=estimator_var)

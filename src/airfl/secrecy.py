@@ -7,6 +7,7 @@ common random numbers across sweep points.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from itertools import product
@@ -45,7 +46,7 @@ class SecrecyPoint:
 
 
 def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
-    """Server capacity, eavesdropper capacity, and their clamped difference.
+    """Server capacity, eavesdropper capacity, and their difference floored at 0.
 
     c_s = log2(S h2_a + sigma_zprime2) - log2(sigma_zprime2) with
     S = sqrt(alpha_a P_a)/L_s; the eavesdropper sees noise sigma_z2 +
@@ -79,9 +80,9 @@ class SecrecySweep:
     for each point is sigma_A2 + sigma_z2, and the eavesdropper's gain is
     max(|h|^2 - delta_h, 0).  Construction rejects a non-finite value, a dB
     value above MAX_DB (its linear power overflows), an alpha outside
-    [0, 1], L_s <= 0, a negative sigma_z2 or delta_h, and a point whose
-    residual or eavesdropper noise is not positive, any of which would turn
-    the means into NaN or leave the model.
+    [0, 1], L_s <= 0, a signal factor S that overflows, a negative sigma_z2
+    or delta_h, and a point whose residual or eavesdropper noise is not
+    positive, any of which would turn the means into NaN or leave the model.
     """
 
     alpha_grid: tuple[float, ...]
@@ -116,6 +117,11 @@ class SecrecySweep:
             raise ValueError(f"alpha_grid values must lie in [0, 1], got {self.alpha_grid}")
         if self.L_s <= 0:
             raise ValueError(f"L_s must be positive, got {self.L_s}")
+        # S grows with alpha and power, so the largest S is at their maxima
+        if not math.isfinite(self.signal_factor(max(self.alpha_grid),
+                                                max(self.power_db_grid))):
+            raise ValueError(f"signal factor S = sqrt(alpha P) / L_s overflows at "
+                             f"L_s = {self.L_s}")
         if self.sigma_z2 < 0:
             raise ValueError(f"sigma_z2 must be nonnegative, got {self.sigma_z2}")
         if any(dh < 0 for dh in self.delta_h_grid):
@@ -124,6 +130,10 @@ class SecrecySweep:
             raise ValueError("residual noise variance sigma_zprime2 must be positive")
         if self.eavesdropper_noise() <= 0:
             raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
+
+    def signal_factor(self, alpha: float, power_db: float) -> float:
+        """S = sqrt(alpha P) / L_s; Python floats overflow to inf unwarned."""
+        return math.sqrt(alpha * db_to_linear(power_db)) / float(self.L_s)
 
     def residual_noise(self, sigma_A2_db: float) -> float:
         """The server's sigma_zprime2 = sigma_A2 + sigma_z2."""
@@ -214,7 +224,7 @@ def monte_carlo_secrecy(
     points = []  # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s)
     last = None
     for alpha, p_db, delta_h, sA2_db in coords:
-        S = np.sqrt(alpha * db_to_linear(p_db)) / sweep.L_s
+        S = sweep.signal_factor(alpha, p_db)
         sigma_zprime2 = sweep.residual_noise(sA2_db)
         points.append((S, sigma_zprime2, np.log2(sigma_zprime2),
                        delta_hs.index(delta_h), (S, sigma_zprime2) != last))

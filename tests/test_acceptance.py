@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from airfl.aircomp import simulate_aggregation_rounds
-from airfl.channel import ChannelConfig, ChannelRealization, db_to_linear
+from airfl.channel import ChannelConfig, db_to_linear
 from airfl.experiments import config_from_dict, run_experiment
 from airfl.fl_core import (
     BoundInputs,
@@ -162,7 +162,7 @@ def test_criterion_5_cancellation_unbiasedness():
     gradients = np.array([[0.3, -0.2], [0.1, 0.4]])
     n = 10**6
     s_hat = simulate_aggregation_rounds(
-        gradients, ChannelRealization(h2=h2), alloc, pairing,
+        gradients, h2, alloc, pairing,
         secrets, sigma_z2, n, np.random.default_rng(31),
     )
     residual = s_hat - gradients.mean(axis=0)
@@ -238,7 +238,7 @@ def test_criterion_8_dp_allocation():
                                alpha=alpha)
         assert np.all(out.beta >= 0.0)
         assert np.all(out.beta <= 1.0 - alpha + 1e-12)
-        assert np.sum(h2 * out.beta_raw * P) <= max(out.psi, 0.0) + 1e-9
+        assert np.sum(h2 * out.beta * P) <= max(out.psi, 0.0) + 1e-9
     report(8, "beta allocation feasible (range and cumulative power) across "
               "1e4 random instances; weak-privacy instance returns beta=0")
 

@@ -10,7 +10,7 @@ from airfl.aircomp import (
     simulate_aggregation_rounds,
     simulate_round,
 )
-from airfl.channel import ChannelRealization, awgn
+from airfl.channel import awgn
 from airfl.pcran import (
     PairSecret,
     Pairing,
@@ -35,15 +35,16 @@ def make_alloc(h2, P, L_s=1.0, beta=0.0, alpha_cap=1.0):
     return PowerAllocation(P=P, alpha=alpha, beta=beta_arr, m=m, L_s=L_s)
 
 
-QUIET = PairSecret(mu=0.0, sigma2_pos=0.0, sigma2_neg=0.0)
+UNIT = PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=1.0)
 
 
 def make_plan(h2, alloc, secrets=None, sigma_z2=0.0):
-    """Plan for users paired (0, 1), (2, 3), ...; silent noise by default."""
+    """Plan for users paired (0, 1), (2, 3), ...; unit secrets by default,
+    which make no noise when the allocation's beta is 0."""
     h2 = np.asarray(h2, dtype=float)
     pairing = Pairing(pairs=tuple((i, i + 1) for i in range(0, len(h2), 2)))
-    secrets = secrets or [QUIET] * len(pairing.pairs)
-    return plan_link(ChannelRealization(h2=h2), alloc, pairing, secrets, sigma_z2)
+    secrets = secrets or [UNIT] * len(pairing.pairs)
+    return plan_link(h2, alloc, pairing, secrets, sigma_z2)
 
 
 def run_round(gradients, plan, gen):
@@ -63,11 +64,11 @@ def reference_clip(g, L_s):
     return g if norm <= L_s else g * (L_s / norm)
 
 
-def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen):
+def reference_round(gradients, h2, alloc, pairing, secrets, sigma_z2, gen):
     """Per-user aggregation round: clip -> draw_pcran -> equalize -> payload,
     then z, summed as z first and users in index order."""
     K, d = gradients.shape
-    gains = noise_gains(real.h2, alloc.P, alloc.beta)
+    gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
     roles = {}
     for i, (pos, neg) in enumerate(pairing.pairs):
@@ -79,7 +80,7 @@ def reference_round(gradients, real, alloc, pairing, secrets, sigma_z2, gen):
         n_k = draw_pcran(secrets[i], role, d, gen)
         if gains[k] > 0:
             n_k = n_k * (target / gains[k])
-        h = np.sqrt(real.h2[k])
+        h = np.sqrt(h2[k])
         sig_amp = h * np.sqrt(alloc.alpha[k] * alloc.P[k]) / alloc.L_s
         noise_amp = h * np.sqrt(alloc.beta[k] * alloc.P[k])
         payloads.append(sig_amp * s_k + noise_amp * n_k)
@@ -122,28 +123,25 @@ class TestClipGradient:
 
 def random_link(K, d, silent, seed, muted=False):
     """A random K-user link with shuffled pairs and d-dimensional gradients,
-    one of which must be clipped; silent gives the first pair zero variances
-    and, for K > 2, one user of the second pair; muted gives user 0 no noise
-    power (beta = 0), so its noise gain is 0 and so is the equalization
-    target of every user."""
+    one of which must be clipped.  muted gives user 0 no noise power
+    (beta = 0), so its noise gain is 0 and so is the equalization target of
+    every user; silent does the same to both users of the first pair and,
+    for K > 2, one user of the second pair."""
     r = rng(seed)
     h2 = r.exponential(size=K)
     alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
-    if muted:
-        alloc = replace(alloc, beta=np.where(np.arange(K) == 0, 0.0, alloc.beta))
-    real = ChannelRealization(h2=h2)
     perm = r.permutation(K)
     pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
                                   for i in range(K // 2)))
+    quiet = [0] if muted else []
+    if silent:
+        quiet += list(pairing.pairs[0]) + ([pairing.pairs[1][1]] if K > 2 else [])
+    alloc = replace(alloc, beta=np.where(np.isin(np.arange(K), quiet), 0.0, alloc.beta))
     secrets = [PairSecret(r.uniform(0.5, 1.5), r.uniform(0.5, 2.0),
                           r.uniform(0.5, 2.0)) for _ in range(K // 2)]
-    if silent:  # zero-variance users draw nothing
-        secrets[0] = PairSecret(mu=0.7, sigma2_pos=0.0, sigma2_neg=0.0)
-        if K > 2:
-            secrets[1] = PairSecret(mu=0.3, sigma2_pos=1.2, sigma2_neg=0.0)
     grads = r.normal(0.0, 0.1, size=(K, d))
     grads[K - 1] *= 50.0 / np.linalg.norm(grads[K - 1])  # must be clipped
-    return real, alloc, pairing, secrets, grads
+    return h2, alloc, pairing, secrets, grads
 
 
 class TestRoundKernelExact:
@@ -153,19 +151,19 @@ class TestRoundKernelExact:
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("silent", [True, False])
     def test_matches_per_user_loop(self, K, d, muted, sigma_z2, silent):
-        real, alloc, pairing, secrets, grads = random_link(K, d, silent, K * 1000 + d,
-                                                           muted)
-        plan = plan_link(real, alloc, pairing, secrets, sigma_z2)
+        h2, alloc, pairing, secrets, grads = random_link(K, d, silent, K * 1000 + d,
+                                                         muted)
+        plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
         gen_kernel, gen_loop = rng(5), rng(5)
         for _ in range(3):
             est = run_round(grads, plan, gen_kernel)
-            ref = reference_round(grads, real, alloc, pairing, secrets, sigma_z2,
+            ref = reference_round(grads, h2, alloc, pairing, secrets, sigma_z2,
                                   gen_loop)
             assert np.array_equal(est, ref)
         # both consumed the stream identically
         assert gen_kernel.random() == gen_loop.random()
         assert plan.noise_stats == aggregate_noise_stats(
-            pairing, secrets, real.h2, alloc.P, alloc.beta, alloc.m, sigma_z2
+            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2
         )
 
 
@@ -175,8 +173,8 @@ class TestDrawNoise:
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("silent", [True, False])
     def test_block_equals_stacked_rounds(self, K, muted, sigma_z2, silent):
-        real, alloc, pairing, secrets, _ = random_link(K, 3, silent, K, muted)
-        plan = plan_link(real, alloc, pairing, secrets, sigma_z2)
+        h2, alloc, pairing, secrets, _ = random_link(K, 3, silent, K, muted)
+        plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
         gen_block, gen_rounds = rng(9), rng(9)
         block = draw_noise(plan, 6, 3, gen_block)
         rounds = np.stack([draw_noise(plan, 1, 3, gen_rounds)[0] for _ in range(6)])
@@ -187,12 +185,13 @@ class TestDrawNoise:
     def test_rows(self):
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], beta=0.5, alpha_cap=0.5)
-        quiet = make_plan(h2, alloc, [PairSecret(mu=2.0, sigma2_pos=0.0, sigma2_neg=0.0)])
-        block = draw_noise(quiet, 2, 3, rng())
-        # no receiver noise; each user sends its equalized, scaled mean
+        plan = make_plan(h2, alloc, [PairSecret(mu=2.0, sigma2_pos=0.5, sigma2_neg=3.0)])
+        block = draw_noise(plan, 2, 3, rng())
+        # no receiver noise; user k sends N(+-mu, sigma2) equalized and scaled
         assert np.array_equal(block[:, 0], np.zeros((2, 3)))
-        sent = np.array([2.0, -2.0]) * quiet.equalize * quiet.noise_amp
-        assert np.array_equal(block[:, 1:], np.broadcast_to(sent[:, None], (2, 2, 3)))
+        z = rng().standard_normal((2, 2, 3))
+        law = (z * np.sqrt([[0.5], [3.0]]) + [[2.0], [-2.0]]) * plan.equalize[:, None]
+        assert np.array_equal(block[:, 1:], law * plan.noise_amp[:, None])
 
 
 class TestBuildTransmit:
@@ -204,7 +203,7 @@ class TestBuildTransmit:
         assert received(est, alloc) == pytest.approx([2.0])
 
     def test_zero_inputs(self):
-        alloc = make_alloc([1.0, 1.0], [1.0, 1.0], beta=0.5)
+        alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
         est = run_round(np.zeros((2, 2)), make_plan([1.0, 1.0], alloc), rng())
         assert np.array_equal(est, np.zeros(2))
 
@@ -214,12 +213,12 @@ class TestBuildTransmit:
             P=np.array([4.0, 4.0]), alpha=np.zeros(2), beta=np.ones(2),
             m=1.0, L_s=1.0,
         )
-        secret = PairSecret(mu=1.0, sigma2_pos=0.0, sigma2_neg=0.0)
-        plan = make_plan(h2, alloc, [secret])
+        plan = make_plan(h2, alloc)
+        # equalized gain min |h| sqrt(beta P) = 2: the means 2 * (+1) and
+        # 2 * (-1) cancel exactly, and the gradients do not enter
+        assert np.array_equal(plan.loc[:, 0] * plan.equalize * plan.noise_amp, [2.0, -2.0])
         est = run_round(np.array([[0.5], [-0.3]]), plan, rng())
-        # equalized gain min |h| sqrt(beta P) = 2: 2 * (+1) + 2 * (-1); the
-        # gradients do not enter
-        assert np.array_equal(received(est, alloc), [0.0])
+        assert np.array_equal(est, run_round(np.zeros((2, 1)), plan, rng()))
 
     def test_unclipped_gradient_is_clipped(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
@@ -234,22 +233,21 @@ class TestSuperpose:
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])  # m = 1
         plan = make_plan([1.0, 1.0], alloc, sigma_z2=1.0)
         est = run_round(np.array([[0.25], [0.75]]), plan, rng(4))
-        z = awgn(1, 1.0, rng(4))
+        z = rng(4).standard_normal(3)[2]  # the users' rows come first
         assert received(est, alloc) == pytest.approx(1.0 + z)
 
     def test_noise_floor_only(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
         plan = make_plan([1.0, 1.0], alloc, sigma_z2=0.5)
         est = run_round(np.zeros((2, 2)), plan, rng(6))
-        z = awgn(2, 0.5, rng(6))
+        z = np.sqrt(0.5) * rng(6).standard_normal((3, 2))[2]
         assert np.array_equal(est, z / (alloc.m * 2))
 
     def test_empty_frames_rejected(self):
         empty = np.zeros(0)
         alloc = PowerAllocation(P=empty, alpha=empty, beta=empty, m=1.0, L_s=1.0)
-        real = ChannelRealization(h2=empty)
         with pytest.raises(ValueError, match="no transmitters"):
-            plan_link(real, alloc, Pairing(pairs=()), [], 0.0)
+            plan_link(empty, alloc, Pairing(pairs=()), [], 0.0)
 
     def test_dimension_mismatch(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
@@ -285,15 +283,14 @@ class TestLinkPlan:
     def test_pairing_must_cover_every_user(self):
         h2 = np.ones(4)
         alloc = make_alloc(h2, np.ones(4))
-        real = ChannelRealization(h2=h2)
         for pairs in (((0, 1),), ((0, 1), (2, 4))):
             with pytest.raises(ValueError, match="perfect matching"):
-                plan_link(real, alloc, Pairing(pairs=pairs), [QUIET] * len(pairs), 0.0)
+                plan_link(h2, alloc, Pairing(pairs=pairs), [UNIT] * len(pairs), 0.0)
 
     def test_one_secret_per_pair(self):
         alloc = make_alloc([1.0, 1.0], np.ones(2))
         with pytest.raises(ValueError, match="one secret per pair"):
-            make_plan([1.0, 1.0], alloc, [QUIET, QUIET])
+            make_plan([1.0, 1.0], alloc, [UNIT, UNIT])
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_beta_must_be_finite_and_nonnegative(self, bad):
@@ -338,43 +335,42 @@ class TestPostprocess:
 
 
 class TestSimulateRound:
-    def setup_scenario(self, beta=0.5, sigma=1.0):
+    def setup_scenario(self, beta=0.5):
         h2 = np.array([1.0, 4.0])
-        real = ChannelRealization(h2=h2)
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=beta, alpha_cap=0.5)
         pairing = Pairing(pairs=((0, 1),))
-        secrets = [PairSecret(mu=1.0, sigma2_pos=sigma, sigma2_neg=2 * sigma)]
-        return real, alloc, pairing, secrets
+        secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
+        return h2, alloc, pairing, secrets
 
     def test_noiseless_round_is_exact_mean(self):
-        real, alloc, pairing, secrets = self.setup_scenario(beta=0.0)
+        h2, alloc, pairing, secrets = self.setup_scenario(beta=0.0)
         grads = np.array([[0.5, 0.1], [-0.3, 0.2]])
-        plan = plan_link(real, alloc, pairing, secrets, 0.0)
+        plan = plan_link(h2, alloc, pairing, secrets, 0.0)
         est = run_round(grads, plan, rng(1))
         assert est == pytest.approx(grads.mean(axis=0), rel=1e-12)
 
     def test_monte_carlo_unbiased(self):
-        real, alloc, pairing, secrets = self.setup_scenario()
+        h2, alloc, pairing, secrets = self.setup_scenario()
         grads = np.array([[0.5], [-0.3]])
         n = 10**5
         s_hat = simulate_aggregation_rounds(
-            grads, real, alloc, pairing, secrets, 1.0, n, rng(3)
+            grads, h2, alloc, pairing, secrets, 1.0, n, rng(3)
         )
         truth = grads.mean()
         sigma_est = s_hat[:, 0].std()
         assert abs(s_hat[:, 0].mean() - truth) < 5 * sigma_est / np.sqrt(n)
 
     def test_vectorized_matches_loop_in_moments(self):
-        real, alloc, pairing, secrets = self.setup_scenario()
+        h2, alloc, pairing, secrets = self.setup_scenario()
         grads = np.array([[0.2], [0.4]])
         n = 20000
-        plan = plan_link(real, alloc, pairing, secrets, 1.0)
+        plan = plan_link(h2, alloc, pairing, secrets, 1.0)
         loop = np.array([
             run_round(grads, plan, rng(100 + i))[0]
             for i in range(n)
         ])
         vec = simulate_aggregation_rounds(
-            grads, real, alloc, pairing, secrets, 1.0, n, rng(7)
+            grads, h2, alloc, pairing, secrets, 1.0, n, rng(7)
         )[:, 0]
         assert abs(loop.mean() - vec.mean()) < 0.05
         assert abs(loop.var() / vec.var() - 1.0) < 0.1
@@ -383,7 +379,6 @@ class TestSimulateRound:
         # two-user point with m*K = 1, where M^-1 * A_t has variance sigma_A2
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=0.5, alpha_cap=0.5)
-        real = ChannelRealization(h2=h2)
         pairing = Pairing(pairs=((0, 1),))
         secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
         stats = aggregate_noise_stats(
@@ -391,16 +386,33 @@ class TestSimulateRound:
         )
         n = 10**6
         a_t = simulate_aggregation_rounds(
-            np.zeros((2, 1)), real, alloc, pairing, secrets, 0.0, n, rng(9)
+            np.zeros((2, 1)), h2, alloc, pairing, secrets, 0.0, n, rng(9)
         )[:, 0]
         standardized = a_t / stats.M
         assert abs(standardized.var() / stats.sigma_A2 - 1.0) < 0.02
         assert abs(a_t.mean()) < 5 * np.sqrt(stats.M**2 * stats.sigma_A2 / n)
 
+    def test_estimator_variance_matches_simulation(self):
+        # a four-user link with m K != 1, where estimator_var is the one
+        # prediction of the per-coordinate variance of s_hat
+        h2, alloc, pairing, secrets, _ = random_link(4, 1, False, 21)
+        stats = aggregate_noise_stats(
+            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, 1.0
+        )
+        assert abs(alloc.m * 4 - 1.0) > 0.1
+        n = 2 * 10**5
+        s_hat = simulate_aggregation_rounds(
+            np.zeros((4, 1)), h2, alloc, pairing, secrets, 1.0, n, rng(10)
+        )[:, 0]
+        assert abs(s_hat.var() / stats.estimator_var - 1.0) < 0.02
+        assert abs(s_hat.mean()) < 5 * np.sqrt(stats.estimator_var / n)
+
     def test_equalized_cancellation_is_exact_under_unequal_gains(self):
-        real, alloc, pairing, secrets = self.setup_scenario(sigma=0.0)
-        # zero variances and raw noise gains 1 : 2; equalization leaves no mean
-        assert len(set(noise_gains(real.h2, alloc.P, alloc.beta))) == 2
-        plan = plan_link(real, alloc, pairing, secrets, 0.0)
-        est = run_round(np.zeros((2, 1)), plan, rng(5))
-        assert est[0] == pytest.approx(0.0, abs=1e-12)
+        h2, alloc, pairing, secrets = self.setup_scenario()
+        # raw noise gains 1 : 2; equalization makes the received means
+        # +mu c and -mu c, which cancel exactly
+        assert len(set(noise_gains(h2, alloc.P, alloc.beta))) == 2
+        plan = plan_link(h2, alloc, pairing, secrets, 0.0)
+        received_means = plan.loc[:, 0] * plan.equalize * plan.noise_amp
+        assert received_means[0] == -received_means[1] != 0.0
+        assert np.sum(received_means) == 0.0

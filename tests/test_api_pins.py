@@ -1,17 +1,19 @@
 """Pins of the model layer's API and of the names the bench tracer wraps."""
+import ast
 import importlib
 import importlib.util
 import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from airfl.aircomp import plan_link, simulate_aggregation_rounds
-from airfl.channel import ChannelConfig, ChannelRealization
-from airfl.fl_core import BoundInputs
-from airfl.pcran import aggregate_noise_stats
+from airfl.aircomp import LinkPlan, plan_link, simulate_aggregation_rounds
+from airfl.channel import ChannelConfig
+from airfl.fl_core import BoundInputs, draw_link
+from airfl.pcran import BetaAllocation, NoiseStats, PairSecret, aggregate_noise_stats
 from airfl.secrecy import SecrecySweep
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def names(dataclass):
@@ -26,18 +28,26 @@ def test_model_api_is_pinned():
     # an option no experiment sets is an untested model; adding one back must
     # change this list on purpose (TrainState is pinned with the training API)
     assert names(ChannelConfig) == ["fading_mode", "sigma_z2", "fixed_gains"]
-    assert names(ChannelRealization) == ["h2"]
+    assert names(PairSecret) == ["mu", "sigma2_pos", "sigma2_neg"]
+    assert names(NoiseStats) == ["M", "sigma_A2", "sigma_zprime2", "estimator_var"]
+    assert names(BetaAllocation) == ["beta", "psi"]
+    # one PCR-AN law per user: loc and scale rows, nothing held twice
+    assert names(LinkPlan) == [
+        "sig_amp", "noise_amp", "gains", "equalize", "loc", "scale", "m", "L_s",
+        "sigma_z2", "noise_stats"]
     assert names(SecrecySweep) == [
         "alpha_grid", "power_db_grid", "delta_h_grid", "sigma_A2_db_grid",
         "sigma_a2_db", "sigma_z2", "L_s"]
     assert names(BoundInputs) == [
         "mu", "lam", "T", "L_s", "d", "m", "K", "noise_power_sum", "sigma_z2"]
-    assert params(plan_link) == ["realization", "alloc", "pairing", "secrets", "sigma_z2"]
+    assert params(plan_link) == ["h2", "alloc", "pairing", "secrets", "sigma_z2"]
     assert params(aggregate_noise_stats) == [
         "pairing", "secrets", "h2", "P", "beta", "m", "sigma_z2"]
     assert params(simulate_aggregation_rounds) == [
-        "gradients", "realization", "alloc", "pairing", "secrets", "sigma_z2",
+        "gradients", "h2", "alloc", "pairing", "secrets", "sigma_z2",
         "n_rounds", "rng"]
+    assert params(draw_link) == [
+        "channel_config", "K", "power", "L_s", "alpha_cap", "beta", "rng"]
 
 
 def load_spans():
@@ -70,3 +80,32 @@ def test_bench_span_pins_resolve():
                 f"which cannot take its positional parameters "
                 f"{[p.name for p in positional]}: {exc}"
             ) from None
+
+
+def test_unused_imports_are_bench_call_sites():
+    # an import kept only for bench/spans.py to wrap is marked
+    # "# noqa: F401 -- ... bench/spans.py ..."; every such name must be a
+    # CALL_SITES entry of its module, so dead imports cannot pile up unexplained
+    call_sites = {(mod_name, attr) for mod_name, attr, *_ in load_spans().CALL_SITES}
+    marked = []
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        aliases = {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    aliases.setdefault(alias.lineno, []).append(alias.asname or alias.name)
+        for lineno, line in enumerate(lines, start=1):
+            if "# noqa: F401" not in line:
+                continue
+            where = f"{path.name}:{lineno}"
+            assert "bench/spans.py" in line.split("# noqa: F401", 1)[1], where
+            assert len(aliases.get(lineno, [])) == 1, f"{where} marks one imported name"
+            (name,) = aliases[lineno]
+            assert (path.stem, name) in call_sites, (
+                f"{where}: bench/spans.py does not wrap {path.stem}.{name}")
+            marked.append((path.stem, name))
+    assert ("experiments", "sample_channel") in marked

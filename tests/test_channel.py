@@ -11,18 +11,18 @@ def rng(seed=0):
 class TestSampleChannel:
     def test_fixed_gains_verbatim(self):
         cfg = ChannelConfig(fading_mode="fixed", fixed_gains=(4.0, 9.0))
-        assert np.array_equal(sample_channel(cfg, 2, rng()).h2, [4.0, 9.0])
+        assert np.array_equal(sample_channel(cfg, 2, rng()), [4.0, 9.0])
 
     def test_rayleigh_unit_mean(self):
         cfg = ChannelConfig()
-        real = sample_channel(cfg, 10**6, rng(7))
-        assert abs(real.h2.mean() - 1.0) < 0.01
+        h2 = sample_channel(cfg, 10**6, rng(7))
+        assert abs(h2.mean() - 1.0) < 0.01
 
     def test_deterministic_given_seed(self):
         cfg = ChannelConfig()
         a = sample_channel(cfg, 5, rng(42))
         b = sample_channel(cfg, 5, rng(42))
-        assert np.array_equal(a.h2, b.h2)
+        assert np.array_equal(a, b)
 
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError, match="empty system"):
@@ -83,13 +83,12 @@ def test_db_to_linear():
 def test_sample_gains_draws_like_sample_channel():
     # one Rayleigh draw serves both: same seed, same gains
     cfg = ChannelConfig()
-    assert np.array_equal(sample_gains(cfg, 7, rng(4)), sample_channel(cfg, 7, rng(4)).h2)
+    assert np.array_equal(sample_gains(cfg, 7, rng(4)), sample_channel(cfg, 7, rng(4)))
 
 
 def test_sample_gains_matches_model():
     g = sample_gains(ChannelConfig(), 10**5, rng(5))
     assert abs(g.mean() - 1.0) < 0.03
-    fixed = sample_gains(
-        ChannelConfig(fading_mode="fixed", fixed_gains=(2.5,)), 10, rng()
-    )
-    assert np.all(fixed == 2.5)
+    # the fixed gains of a link are not a Monte Carlo model
+    with pytest.raises(ValueError, match="sample_gains draws Rayleigh gains"):
+        sample_gains(ChannelConfig(fading_mode="fixed", fixed_gains=(2.5,)), 10, rng())

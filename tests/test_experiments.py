@@ -87,6 +87,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             config_from_dict({"experiment": experiment, key: value})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"experiment": "noise-check", "samples": 10**20}, "samples"),
+        ({"experiment": "train", "d": 10**20}, "d"),
+    ])
+    def test_count_beyond_intp_rejected(self, raw, key):
+        # samples 10**20 once raised a raw OverflowError inside numpy, and
+        # d 10**20 a TypeError
+        top = int(np.iinfo(np.intp).max)
+        with pytest.raises(ConfigError, match=f"{key} must be at most {top}, got {10**20}"):
+            config_from_dict(raw)
+        assert getattr(config_from_dict(dict(raw, **{key: top})), key) == top
+
     @pytest.mark.parametrize("raw", [
         {"experiment": "train", "beta": -1.0},
         {"experiment": "train", "beta": 1.5},
@@ -467,6 +479,27 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main([experiment, "--samples", "5"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"experiment": "fig3", "L_s": 1e-320, "samples": 100},
+         "signal factor S = sqrt(alpha P) / L_s overflows at L_s = 1e-320"),
+        ({"experiment": "fig4", "L_s": 1e-160, "powers_db": [3000.0], "samples": 100},
+         "signal factor S = sqrt(alpha P) / L_s overflows at L_s = 1e-160"),
+        ({"experiment": "noise-check", "L_s": 1e-320, "samples": 100},
+         "alignment constant m = sqrt(alpha_cap * min |h|^2 P) / L_s overflows"),
+        ({"experiment": "train", "L_s": 1e-320, "T": 5},
+         "alignment constant m = sqrt(alpha_cap * min |h|^2 P) / L_s overflows"),
+    ])
+    def test_overflowing_signal_scale_is_one_error_line(self, tmp_path, capsys, raw,
+                                                        message):
+        # S and m once overflowed to inf after a numpy warning; fig3 and fig4
+        # then wrote mean_c = nan rows
+        path = write_config(tmp_path, raw)
+        assert main([raw["experiment"], "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("airfl: error: ") and message in line
 
     def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],

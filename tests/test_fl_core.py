@@ -14,12 +14,13 @@ from airfl.fl_core import (
     all_local_gradients,
     centralized_gd,
     convergence_bound,
+    draw_link,
     global_loss,
     make_task,
     optimal_model,
     train_over_air,
 )
-from airfl.pcran import PowerAllocation, compute_alignment, draw_secrets, form_pairs
+from airfl.pcran import PairSecret, PowerAllocation, compute_alignment, draw_secrets, form_pairs
 
 
 def rng(seed=0):
@@ -163,15 +164,9 @@ class TestConvergenceBound:
 
 
 def varied_secrets(n_pairs, gen):
-    """draw_secrets with unequal variances in each pair."""
-    return draw_secrets(n_pairs, gen, sigma2_range=(0.5, 2.0))
-
-
-def secrets_with_quiet_first_pair(n_pairs, gen):
-    """varied_secrets, then zero the first pair's variances (it draws nothing)."""
-    secrets = varied_secrets(n_pairs, gen)
-    secrets[0] = replace(secrets[0], sigma2_pos=0.0, sigma2_neg=0.0)
-    return secrets
+    """draw_secrets' three uniforms per pair, with the variances on [0.5, 2]."""
+    return [PairSecret(gen.uniform(0.5, 1.5), gen.uniform(0.5, 2.0), gen.uniform(0.5, 2.0))
+            for _ in range(n_pairs)]
 
 
 def reference_train(task, chan, settings, gen, secret_draw):
@@ -179,14 +174,14 @@ def reference_train(task, chan, settings, gen, secret_draw):
     round draws its own noise and evaluates the gradients and the loss from
     scratch."""
     K = task.K
-    real = sample_channel(chan, K, gen)
+    h2 = sample_channel(chan, K, gen)
     P = np.full(K, settings.power)
-    m, alpha = compute_alignment(real.h2, P, settings.L_s, alpha_cap=settings.alpha_cap)
+    m, alpha = compute_alignment(h2, P, settings.L_s, alpha_cap=settings.alpha_cap)
     beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
     pairing = form_pairs(K, gen)
     secrets = secret_draw(K // 2, gen)
-    plan = plan_link(real, alloc, pairing, secrets, chan.sigma_z2)
+    plan = plan_link(h2, alloc, pairing, secrets, chan.sigma_z2)
     f_star = global_loss(optimal_model(task), task)
     w = np.zeros(task.d)
     losses, gaps = [], []
@@ -203,15 +198,15 @@ def reference_train(task, chan, settings, gen, secret_draw):
 class TestTrainOverAir:
     @pytest.mark.parametrize("K", [2, 6])
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
-    @pytest.mark.parametrize("quiet_pair", [False, True])
-    def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet_pair, monkeypatch):
-        secret_draw = secrets_with_quiet_first_pair if quiet_pair else varied_secrets
-        monkeypatch.setattr(fl_core, "draw_secrets", secret_draw)
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet, monkeypatch):
+        # quiet runs with beta = 0: every user draws noise that reaches no one
+        monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
         task = small_task(12, K=K, n=8, d=5, lam=0.1)
-        settings = TrainSettings(T=40, power=100.0, beta=0.5)
+        settings = TrainSettings(T=40, power=100.0, beta=0.0 if quiet else 0.5)
         chan = ChannelConfig(sigma_z2=sigma_z2)
         gen_ref = rng(13)
-        w, losses, gaps = reference_train(task, chan, settings, gen_ref, secret_draw)
+        w, losses, gaps = reference_train(task, chan, settings, gen_ref, varied_secrets)
         # the module's block holds all 40 rounds; blocks of 7 rounds end on a
         # short block of 5; blocks of 1 round draw round by round
         for block_rounds in (None, 7, 1):
@@ -304,6 +299,23 @@ class TestTrainOverAir:
             TrainSettings(T=3, power=power)
 
 
+def test_draw_link_clamps_beta_and_keeps_the_draw_order():
+    chan = ChannelConfig(sigma_z2=1.0)
+    link_gen, gen = rng(3), rng(3)
+    h2, alloc, pairing, secrets = draw_link(chan, 6, 100.0, 2.0, 0.3, 0.9, link_gen)
+    assert np.array_equal(h2, sample_channel(chan, 6, gen))
+    m, alpha = compute_alignment(h2, np.full(6, 100.0), 2.0, alpha_cap=0.3)
+    assert (alloc.m, alloc.L_s) == (m, 2.0)
+    assert np.array_equal(alloc.P, np.full(6, 100.0))
+    assert np.array_equal(alloc.alpha, alpha)
+    # beta is cut back to 1 - alpha_k, at least for the worst user (alpha 0.3)
+    assert np.array_equal(alloc.beta, np.minimum(0.9, 1.0 - alpha))
+    assert alloc.beta.min() == pytest.approx(0.7)
+    assert pairing == form_pairs(6, gen)
+    assert secrets == draw_secrets(3, gen)
+    assert link_gen.bit_generator.state == gen.bit_generator.state
+
+
 def test_make_task_validation():
     for lam in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="reg_lambda"):
@@ -326,7 +338,7 @@ def test_training_api_parameters_are_pinned():
     assert params(make_task) == ["K", "n_per_user", "d", "reg_lambda", "rng"]
     assert params(train_over_air) == ["task", "channel_config", "settings", "rng"]
     assert params(centralized_gd) == ["task", "settings"]
-    assert params(draw_secrets) == ["n_pairs", "rng", "mu_range", "sigma2_range"]
+    assert params(draw_secrets) == ["n_pairs", "rng"]
 
 
 def test_task_smoothness_at_least_lambda():

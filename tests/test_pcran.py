@@ -41,10 +41,6 @@ class TestFormPairs:
 
 
 class TestDrawPcran:
-    def test_zero_variance_positive_role(self):
-        secret = PairSecret(mu=0.5, sigma2_pos=0.0, sigma2_neg=0.0)
-        assert np.array_equal(draw_pcran(secret, "positive", 2, rng()), [0.5, 0.5])
-
     def test_pair_means_cancel(self):
         secret = PairSecret(mu=0.5, sigma2_pos=1.0, sigma2_neg=2.0)
         n = 10**6
@@ -125,6 +121,11 @@ class TestComputeAlignment:
         with pytest.raises(ValueError, match="transmit power P must be positive"):
             compute_alignment(np.ones(2), np.array(P), 1.0)
 
+    def test_overflowing_alignment_constant_rejected(self):
+        # L_s = 1e-320 once made m = inf after a numpy overflow warning
+        with pytest.raises(ValueError, match="m = .* overflows at L_s = 1e-320"):
+            compute_alignment(np.ones(2), np.ones(2), 1e-320)
+
     def test_negative_gain_named(self):
         with pytest.raises(ValueError, match="channel gain h2 must be nonnegative"):
             compute_alignment(np.array([-1.0, 1.0]), np.ones(2), 1.0)
@@ -141,16 +142,22 @@ class TestOptimizeBetaDp:
         assert out.beta == pytest.approx([0.0])
 
     def test_sequential_waterfilling(self):
-        # delta chosen so ln(1.25/delta) = 5 and sigma_z2 = 0 -> Psi = 5
+        # delta chosen so ln(1.25/delta) = 5 and sigma_z2 = 0 -> Psi = 5 at
+        # min |h|^2 P / eps = 1; the caps 3 then fill Z = [3, 2]
         delta = 1.25 * np.exp(-5.0)
+        out = optimize_beta_dp(
+            np.array([1.0, 1.0]), np.array([10.0, 10.0]), np.array([10.0, 10.0]),
+            delta, 0.0, caps=np.array([3.0, 3.0]),
+        )
+        assert out.psi == pytest.approx(5.0)
+        assert out.beta == pytest.approx([0.3, 0.2])  # Z_k / (|h_k|^2 P_k)
+        # with unit power the same fill asks beta = [3, 2], clamped to 1 - alpha = 1
         out = optimize_beta_dp(
             np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]),
             delta, 0.0, caps=np.array([3.0, 3.0]),
         )
         assert out.psi == pytest.approx(5.0)
-        assert out.beta_raw == pytest.approx([3.0, 2.0])
-        assert out.beta == pytest.approx([1.0, 1.0])  # clamped to 1 - alpha = 1
-        assert list(out.clamped) == [True, True]
+        assert out.beta == pytest.approx([1.0, 1.0])
 
     def test_zero_caps(self):
         out = optimize_beta_dp(
@@ -172,7 +179,7 @@ class TestOptimizeBetaDp:
             out = optimize_beta_dp(h2, P, eps, delta, 1.0, caps, alpha=alpha)
             assert np.all(out.beta >= 0.0)
             assert np.all(out.beta <= 1.0 - alpha + 1e-12)
-            used = np.sum(h2 * out.beta_raw * P)
+            used = np.sum(h2 * out.beta * P)
             assert used <= max(out.psi, 0.0) + 1e-9
 
     def test_bad_inputs(self):
@@ -213,10 +220,18 @@ class TestAggregateNoiseStats:
         )
         assert stats.sigma_A2 == 10.0
 
-    def test_zero_variances(self):
-        stats = self.make([(0.0, 0.0)], np.ones(2), np.ones(2), np.ones(2), 1.0, 1.0)
-        assert stats.sigma_A2 == 0.0
+    def test_zero_noise_power(self):
+        # beta = 0 silences every user's noise, whatever the secrets
+        stats = self.make([(2.0, 3.0)], np.ones(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        assert stats.M == 0.0
         assert stats.sigma_zprime2 == 1.0
+        assert stats.estimator_var == 1.0 / 2**2
+
+    def test_estimator_variance(self):
+        # (c^2 sigma_A2 + sigma_z2) / (mK)^2 with c = min |h| sqrt(beta P)
+        h2, beta = np.array([1.0, 4.0, 9.0, 2.0]), np.full(4, 0.5)
+        stats = self.make([(1.0, 2.0), (0.5, 0.5)], h2, np.ones(4), beta, 0.5, 1.0)
+        assert stats.estimator_var == pytest.approx((0.5 * 4.0 + 1.0) / (0.5 * 4) ** 2)
 
     def test_residual_at_least_channel_noise(self):
         stats = self.make(
@@ -243,18 +258,26 @@ class TestAggregateNoiseStats:
 
 @pytest.mark.parametrize("mu, sp, sn", [
     (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1.0, float("nan"), 1.0),
-    (1.0, 1.0, float("inf")), (1.0, -1.0, 1.0), (1.0, 1.0, -0.5),
+    (1.0, 1.0, float("inf")), (1.0, -1.0, 1.0), (1.0, 1.0, -0.5), (1.0, 0.0, 1.0),
+    (1.0, 1.0, 0.0),
 ])
 def test_pair_secret_rejects_non_finite_or_negative(mu, sp, sn):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite mean and finite positive variances"):
         PairSecret(mu=mu, sigma2_pos=sp, sigma2_neg=sn)
 
 
 def test_draw_secrets_ranges():
-    secrets = draw_secrets(50, rng(8), (0.5, 1.5), (1.0, 2.0))
+    gen = rng(8)
+    secrets = draw_secrets(50, gen)
     assert len(secrets) == 50
     assert all(0.5 <= s.mu <= 1.5 for s in secrets)
-    assert all(1.0 <= s.sigma2_pos <= 2.0 for s in secrets)
+    assert all(s.sigma2_pos == s.sigma2_neg == 1.0 for s in secrets)
+    # three uniforms per pair: mu, then both variances
+    ref = rng(8)
+    for s in secrets:
+        assert s.mu == ref.uniform(0.5, 1.5)
+        ref.uniform(size=2)
+    assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_cancellable_noise_is_gaussian():

@@ -183,6 +183,16 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match=f"{name} must be at most"):
             base_sweep(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"L_s": 1e-320},
+        {"L_s": 1e-160, "power_db_grid": (3000.0,)},
+    ])
+    def test_overflowing_signal_factor_rejected(self, kw):
+        # S = sqrt(alpha P) / L_s once overflowed after a numpy warning, and
+        # fig3/fig4 wrote mean_c = nan rows
+        with pytest.raises(ValueError, match="signal factor S = sqrt"):
+            base_sweep(**kw)
+
     def test_largest_finite_db_allowed(self):
         assert np.isfinite(db_to_linear(MAX_DB))
         base_sweep(power_db_grid=(MAX_DB,), sigma_A2_db_grid=(MAX_DB,), sigma_a2_db=MAX_DB)
