@@ -26,7 +26,7 @@ from .pcran import (
 )
 
 DIVERGENCE_FACTOR = 1e6
-# doubles of received noise drawn at once (128 KB), like secrecy._BLOCK
+# doubles of received noise drawn at once (128 KB)
 _NOISE_BLOCK = 1 << 14
 
 

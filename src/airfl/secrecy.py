@@ -8,6 +8,8 @@ common random numbers across sweep points.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from itertools import product
@@ -50,24 +52,35 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
 
     c_s = log2(S h2_a + sigma_zprime2) - log2(sigma_zprime2) with
     S = sqrt(alpha_a P_a)/L_s; the eavesdropper sees noise sigma_z2 +
-    sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).
+    sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).  S and the
+    received powers are computed in Python floats, which overflow to inf
+    without a warning; an input whose S or S h2 + noise is not finite is
+    rejected, as is L_s <= 0 or alpha_a P_a < 0.
     """
-    if not np.all(np.isfinite(astuple(inp))):
+    values = astuple(inp)
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"secrecy inputs must be finite, got {inp}")
-    S = np.sqrt(inp.alpha_a * inp.P_a) / inp.L_s
-    if not inp.sigma_zprime2 > 0:
+    alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = map(float, values)
+    if not (L_s > 0 and alpha_a * P_a >= 0):
+        raise ValueError(f"secrecy inputs need L_s > 0 and alpha_a P_a >= 0, got {inp}")
+    S = math.sqrt(alpha_a * P_a) / L_s
+    if not sigma_zprime2 > 0:
         raise ValueError("residual noise variance sigma_zprime2 must be positive")
-    ev_noise = inp.sigma_z2 + inp.sigma_a2
+    ev_noise = sigma_z2 + sigma_a2
     if not ev_noise > 0:
         raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
-    snr_s = S * inp.h2_a / inp.sigma_zprime2
-    c_s = np.log2(S * inp.h2_a + inp.sigma_zprime2) - np.log2(inp.sigma_zprime2)
-    snr_ev = S * inp.h2_ev / ev_noise
-    c_ev = np.log2(S * inp.h2_ev + ev_noise) - np.log2(ev_noise)
+    rx_s = S * h2_a + sigma_zprime2
+    rx_ev = S * h2_ev + ev_noise
+    if not (math.isfinite(rx_s) and math.isfinite(rx_ev)):
+        raise ValueError(f"signal factor S = sqrt(alpha_a P_a) / L_s = {S} times a "
+                         f"gain plus the noise overflows, got {inp}")
+    snr_s = S * h2_a / sigma_zprime2
+    c_s = np.log2(rx_s) - np.log2(sigma_zprime2)
+    snr_ev = S * h2_ev / ev_noise
+    c_ev = np.log2(rx_ev) - np.log2(ev_noise)
     c = max(float(c_s - c_ev), 0.0)
     return SecrecyPoint(
-        snr_s=float(snr_s), c_s=float(c_s), snr_ev=float(snr_ev),
-        c_ev=float(c_ev), c=c,
+        snr_s=snr_s, c_s=float(c_s), snr_ev=snr_ev, c_ev=float(c_ev), c=c,
     )
 
 
@@ -158,8 +171,9 @@ class SweepResult:
 
 
 # leaf size of the blocked sweep: a few float64 buffers of this length stay
-# in cache while every sweep point is evaluated on them
-_BLOCK = 16384
+# in cache while every sweep point is evaluated on them, and each ufunc call
+# on a leaf is long enough that worker threads rarely wait for the GIL
+_BLOCK = 32768
 
 
 def _tree_split(n: int) -> int:
@@ -190,49 +204,19 @@ def _tree_sum(leaf_sums: Iterator, n: int):
     return left + _tree_sum(leaf_sums, n - half)
 
 
-def monte_carlo_secrecy(
-    sweep: SecrecySweep, n_samples: int, seed: int
-) -> list[SweepResult]:
-    """Average the secrecy capacity over fading realizations per sweep point.
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Deterministic given the seed; all sweep points share one set of channel
-    draws so monotonicity comparisons are paired.
 
-    The sample axis is walked in cache-sized blocks, the leaves of numpy's
-    pairwise-summation tree (_tree_blocks), and every point is evaluated on
-    a block before the next block is read.  Per block, max(h2 - delta_h, 0)
-    is computed once per distinct delta_h and c_s once per run of points
-    that share (S, sigma_zprime2); c_ev and c are computed per point.  The
-    values go through the same float operations in the same order as the
-    full-array formulas (S*h2, + noise, log2, - log2(noise); c_s - c_ev,
-    max(., 0)), each block is reduced with np.add.reduce, and the block sums
-    are added up the same tree (_tree_sum) and divided by n.  That is the
-    sum and divide that ndarray.mean runs, so every mean equals the
-    full-array mean bit for bit.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    h2 = sample_gains(_FADING, n_samples, rng)
-    ev_noise = sweep.eavesdropper_noise()
-    log2_ev_noise = np.log2(ev_noise)
-    delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
-
-    coords = list(product(
-        sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
-    ))
-    points = []  # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s)
-    last = None
-    for alpha, p_db, delta_h, sA2_db in coords:
-        S = sweep.signal_factor(alpha, p_db)
-        sigma_zprime2 = sweep.residual_noise(sA2_db)
-        points.append((S, sigma_zprime2, np.log2(sigma_zprime2),
-                       delta_hs.index(delta_h), (S, sigma_zprime2) != last))
-        last = (S, sigma_zprime2)
-
-    buf = np.empty((len(delta_hs) + 3, min(n_samples, _BLOCK)))
+def _leaf_sums(blocks: list[slice], buf: np.ndarray, h2: np.ndarray, points: list,
+               delta_hs: list, ev_noise: float, log2_ev_noise: float) -> list:
+    """Per leaf in `blocks`, the (c, c_s, c_ev) sums of every point, computed
+    in `buf` (len(delta_hs) + 3 rows of at least the widest leaf)."""
     leaf_sums = []
-    for block in _tree_blocks(n_samples):
+    for block in blocks:
         x = h2[block]
         width = x.size
         h2_ev = buf[:len(delta_hs), :width]
@@ -256,7 +240,89 @@ def monte_carlo_secrecy(
             np.maximum(c, 0.0, out=c)
             sums.append((np.add.reduce(c), sum_c_s, np.add.reduce(c_ev)))
         leaf_sums.append(sums)
-    means = _tree_sum(iter(np.array(leaf_sums)), n_samples) / n_samples
+    return leaf_sums
+
+
+def monte_carlo_secrecy(
+    sweep: SecrecySweep, n_samples: int, seed: int
+) -> list[SweepResult]:
+    """Average the secrecy capacity over fading realizations per sweep point.
+
+    Deterministic given the seed; all sweep points share one set of channel
+    draws so monotonicity comparisons are paired.  A draw whose largest
+    S h2 plus noise overflows is rejected, since its means would be NaN.
+
+    The sample axis is walked in cache-sized blocks of at most _BLOCK =
+    32768 samples, the leaves of numpy's pairwise-summation tree
+    (_tree_blocks), and every point is evaluated on a block before the next
+    block is read (_leaf_sums).  Per block, max(h2 - delta_h, 0) is computed
+    once per distinct delta_h and c_s once per run of points that share
+    (S, sigma_zprime2); c_ev and c are computed per point.  The values go
+    through the same float operations in the same order as the full-array
+    formulas (S*h2, + noise, log2, - log2(noise); c_s - c_ev, max(., 0)),
+    each block is reduced with np.add.reduce, and the block sums are added
+    up the same tree (_tree_sum) and divided by n.  That is the sum and
+    divide that ndarray.mean runs, so every mean equals the full-array mean
+    bit for bit.
+
+    The leaves are independent, so they are split into one contiguous run
+    per worker, one worker per CPU this process may run on
+    (os.sched_getaffinity, else os.cpu_count), at most one per leaf.  The
+    calling thread reduces the first run and threading.Threads the others,
+    each in its own buffer; numpy's ufuncs release the GIL.  The leaf sums
+    are joined in leaf order, so every worker count gives the same bits.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    h2 = sample_gains(_FADING, n_samples, rng)
+    ev_noise = sweep.eavesdropper_noise()
+    log2_ev_noise = np.log2(ev_noise)
+    delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
+
+    coords = list(product(
+        sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
+    ))
+    points = []  # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s)
+    last = None
+    for alpha, p_db, delta_h, sA2_db in coords:
+        S = sweep.signal_factor(alpha, p_db)
+        sigma_zprime2 = sweep.residual_noise(sA2_db)
+        points.append((S, sigma_zprime2, np.log2(sigma_zprime2),
+                       delta_hs.index(delta_h), (S, sigma_zprime2) != last))
+        last = (S, sigma_zprime2)
+    # S h2 + noise grows with each factor; Python floats overflow unwarned
+    top_S, top_h2 = max(p[0] for p in points), float(h2.max())
+    if not math.isfinite(top_S * top_h2 + float(max(ev_noise, *(p[1] for p in points)))):
+        raise ValueError(f"received power S |h|^2 + noise overflows at L_s = {sweep.L_s}: "
+                         f"S = {top_S}, largest drawn |h|^2 = {top_h2}")
+
+    blocks = _tree_blocks(n_samples)
+    workers = min(_cpu_count(), len(blocks))
+    ends = [len(blocks) * w // workers for w in range(workers + 1)]
+    runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
+    # allocated here, not in the threads, to keep the peak RSS down
+    bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
+    args = (h2, points, delta_hs, ev_noise, log2_ev_noise)
+    run_sums = [None] * workers
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            run_sums[w] = _leaf_sums(runs[w], bufs[w], *args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    leaf_sums = np.array([sums for run in run_sums for sums in run])
+    means = _tree_sum(iter(leaf_sums), n_samples) / n_samples
 
     return [
         SweepResult(

@@ -3,11 +3,16 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+from airfl import secrecy
 from airfl.aircomp import LinkPlan, plan_link, simulate_aggregation_rounds
 from airfl.channel import ChannelConfig
+from airfl.experiments import config_from_dict, run_experiment
 from airfl.fl_core import BoundInputs, draw_link
 from airfl.pcran import BetaAllocation, NoiseStats, PairSecret, aggregate_noise_stats
 from airfl.secrecy import SecrecySweep
@@ -109,3 +114,33 @@ def test_unused_imports_are_bench_call_sites():
                 f"{where}: bench/spans.py does not wrap {path.stem}.{name}")
             marked.append((path.stem, name))
     assert ("experiments", "sample_channel") in marked
+
+
+def test_traced_parallel_sweep_matches_serial(monkeypatch):
+    # the tracer's span stack is not thread-safe, so the sweep's worker
+    # threads must call no name it wraps: a traced fig3 with two workers
+    # returns the rows, the per-layer calls and the work counts of one worker
+    spans = load_spans()
+    config = config_from_dict({"experiment": "fig3", "samples": 3 * secrecy._BLOCK + 5})
+    assert len(secrecy._tree_blocks(config.samples)) >= 2
+    traced = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: workers)
+        tracer = spans.Tracer()
+        with tracer:
+            output = tracer.wrap(run_experiment, "experiments")(config)
+        totals = spans.layer_totals(tracer.spans)
+        traced[workers] = output, dict(totals["calls"]), dict(tracer.counts)
+    assert traced[2] == traced[1]
+    assert traced[1][1]["secrecy"] == 1
+
+
+def test_import_loads_no_process_pools():
+    # concurrent.futures and multiprocessing cost milliseconds of cold start;
+    # the sweep's workers are plain threading.Threads
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, airfl.experiments; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -500,6 +501,21 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("airfl: error: ") and message in line
+
+    def test_overflowing_received_power_is_one_error_line(self, tmp_path, capsys):
+        # S is finite here, but S |h|^2 overflows for the larger drawn gains;
+        # the run once warned "invalid value encountered in subtract", wrote
+        # mean_c = nan rows and exited 0
+        path = write_config(tmp_path, {"experiment": "fig3", "L_s": 7e-159,
+                                       "powers_db": [3000.0], "alpha_grid": [0.5],
+                                       "samples": 1000})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fig3", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("airfl: error: received power S |h|^2 + noise overflows")
 
     def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],

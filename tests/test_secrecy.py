@@ -1,13 +1,17 @@
+import sys
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 
+from airfl import secrecy
 from airfl.channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
 from airfl.secrecy import (
     SecrecyInputs,
     SecrecySweep,
     SweepResult,
+    _BLOCK,
     _tree_blocks,
     _tree_sum,
     monte_carlo_secrecy,
@@ -65,6 +69,23 @@ class TestSecrecyPoint:
             point(sigma_zprime2=0.0)
         with pytest.raises(ValueError, match="eavesdropper"):
             point(sigma_z2=0.0, sigma_a2=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"L_s": 1e-320},
+        {"P_a": 1e300, "L_s": 1e-160},
+        {"P_a": 1e300, "L_s": 1e-150, "h2_a": 1e10},
+        {"P_a": 1e300, "L_s": 1e-150, "h2_ev": 1e10},
+    ])
+    def test_overflowing_signal_rejected(self, kw):
+        # S = sqrt(alpha P) / L_s, or S h2 + noise, once overflowed after a
+        # numpy warning and gave c = nan
+        with pytest.raises(ValueError, match="overflows"):
+            point(**kw)
+
+    @pytest.mark.parametrize("kw", [{"L_s": 0.0}, {"L_s": -1.0}, {"alpha_a": -0.5}])
+    def test_out_of_domain_signal_factor_rejected(self, kw):
+        with pytest.raises(ValueError, match="L_s > 0 and alpha_a P_a >= 0"):
+            point(**kw)
 
     @pytest.mark.parametrize("name", ["h2_a", "sigma_zprime2", "h2_ev", "alpha_a"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -199,6 +220,13 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match="power_db_grid must be at most"):
             base_sweep(power_db_grid=(float(np.nextafter(MAX_DB, np.inf)),))
 
+    def test_overflowing_received_power_rejected(self):
+        # S is finite, but S h2 + noise overflows for a drawn gain; the sweep
+        # once returned mean_c = nan after numpy's "invalid value" warning
+        sweep = base_sweep(alpha_grid=(0.5,), power_db_grid=(3000.0,), L_s=7e-159)
+        with pytest.raises(ValueError, match=r"received power S \|h\|\^2 \+ noise overflows"):
+            monte_carlo_secrecy(sweep, 1000, seed=0)
+
     def test_noiseless_receiver_allowed(self):
         assert len(monte_carlo_secrecy(base_sweep(sigma_z2=0.0), 10, seed=0)) == 44
 
@@ -227,7 +255,7 @@ def reference_sweep(sweep, n_samples, seed):
 
 
 # n around the block size and the 8-element split alignment of the sum tree
-TREE_LENGTHS = (1, 7, 128, 129, 16384, 16385, 50_001, 123_457)
+TREE_LENGTHS = (1, 7, 128, 129, 16384, 16385, 32768, 32769, 50_001, 123_457)
 
 EXACT_SWEEPS = {
     "fig3": base_sweep(),
@@ -266,3 +294,86 @@ class TestBlockedEngineExact:
         leaf_sums = [np.add.reduce(x[b]) for b in blocks]
         assert _tree_sum(iter(leaf_sums), n) == np.add.reduce(x)
         assert _tree_sum(iter(leaf_sums), n) / n == x.mean()
+
+
+# (n, _BLOCK or None for the default, workers): one leaf and three workers,
+# fewer leaves than workers, runs of unequal length, and many leaves per run
+PARALLEL_CASES = [
+    (n, block, workers)
+    for n, block in [(1, None), (300, 128), (1000, 128), (5_001, 1000), (16_385, 1000),
+                     (123_457, None)]
+    for workers in (1, 2, 3)
+]
+
+
+def test_parallel_cases_cover_run_shapes(monkeypatch):
+    runs = []
+    for n, block, workers in PARALLEL_CASES:
+        monkeypatch.setattr(secrecy, "_BLOCK", block or _BLOCK)
+        runs.append((len(_tree_blocks(n)), workers))
+    assert any(leaves < workers for leaves, workers in runs)
+    assert any(leaves > workers and leaves % workers for leaves, workers in runs)
+
+
+@pytest.fixture(scope="module")
+def reference_results():
+    cache = {}
+
+    def results(name, n):
+        if (name, n) not in cache:
+            cache[name, n] = reference_sweep(EXACT_SWEEPS[name], n, seed=n)
+        return cache[name, n]
+
+    return results
+
+
+class TestParallelLeaves:
+    @pytest.mark.parametrize("n, block, workers", PARALLEL_CASES)
+    @pytest.mark.parametrize("name", sorted(EXACT_SWEEPS))
+    def test_matches_full_array_loop(self, monkeypatch, reference_results, name, n,
+                                     block, workers):
+        # the worker count and the leaf size change only the speed
+        if block is not None:
+            monkeypatch.setattr(secrecy, "_BLOCK", block)
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: workers)
+        assert monte_carlo_secrecy(EXACT_SWEEPS[name], n, seed=n) == reference_results(name, n)
+
+    def test_many_workers_under_short_switch_interval(self, monkeypatch,
+                                                       reference_results):
+        # more workers than CPUs, switching threads every microsecond: a lost
+        # or misplaced leaf sum would change the means
+        monkeypatch.setattr(secrecy, "_BLOCK", 128)
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == reference_results("mixed", 5_001)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        n = 50_001
+        leaf_sums = secrecy._leaf_sums
+
+        def fail_in_last_run(blocks, *args):
+            if blocks[-1].stop == n:
+                raise ArithmeticError("leaf failed")
+            return leaf_sums(blocks, *args)
+
+        monkeypatch.setattr(secrecy, "_BLOCK", 1000)
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(secrecy, "_leaf_sums", fail_in_last_run)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="leaf failed"):
+            monte_carlo_secrecy(EXACT_SWEEPS["fig3"], n, seed=0)
+        assert threading.active_count() == threads
+
+    def test_worker_count_is_the_usable_cpus(self, monkeypatch):
+        if hasattr(secrecy.os, "sched_getaffinity"):
+            assert secrecy._cpu_count() == len(secrecy.os.sched_getaffinity(0))
+            monkeypatch.delattr(secrecy.os, "sched_getaffinity")
+        monkeypatch.setattr(secrecy.os, "cpu_count", lambda: 5)
+        assert secrecy._cpu_count() == 5
+        monkeypatch.setattr(secrecy.os, "cpu_count", lambda: None)
+        assert secrecy._cpu_count() == 1

@@ -35,7 +35,7 @@ def _grid(values, max_size=3):
 
 
 def _secrecy(experiment, **keys):
-    # past secrecy._BLOCK (16384 samples) the sweep runs in several blocks
+    # past secrecy._BLOCK (32768 samples) the sweep runs in several blocks
     return st.fixed_dictionaries({
         "experiment": st.just(experiment),
         "seed": _seed,
