@@ -9,6 +9,7 @@ hence only magnitudes appear downstream.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,36 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
 
 def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
     """Draw n i.i.d. Rayleigh server-link power gains (Monte Carlo helper)."""
+    (h2,) = gain_blocks(config, n, rng, [slice(0, n)])
+    return h2
+
+
+def gain_blocks(config: ChannelConfig, n: int, rng: Generator,
+                blocks: list[slice]) -> Iterator[np.ndarray]:
+    """Draw the gains of sample_gains(config, n, rng) block by block.
+
+    `blocks` must tile range(n) left to right.  All n real parts are drawn
+    and squared first; then, per block, its imaginary parts are drawn,
+    squared and added, and the block's gains are yielded as a view of one
+    n-element array.  Generator.normal in chunks reads the same stream as in
+    one call, so the gains and the generator's final state are those of
+    sample_gains, and a consumer can start on a block while the next is drawn.
+    """
     if config.fading_mode != "rayleigh":
         raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
                          f"{config.fading_mode!r}")
     if n < 1:
         raise ValueError("need at least one sample")
-    re = rng.normal(0.0, np.sqrt(0.5), size=n)
-    im = rng.normal(0.0, np.sqrt(0.5), size=n)
-    return re**2 + im**2
+    stops = [0] + [block.stop for block in blocks]
+    if [(b.start, b.step) for b in blocks] != [(a, None) for a in stops[:-1]] or stops[-1] != n:
+        raise ValueError(f"blocks must tile range({n}) left to right")
+    h2 = rng.normal(0.0, np.sqrt(0.5), size=n)
+    np.square(h2, out=h2)
+    for block in blocks:
+        im = rng.normal(0.0, np.sqrt(0.5), size=block.stop - block.start)
+        np.square(im, out=im)
+        h2[block] += im
+        yield h2[block]
 
 
 def awgn(dim: int, sigma2: float, rng: Generator) -> np.ndarray:

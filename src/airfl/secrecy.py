@@ -16,7 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
+from .channel import MAX_DB, ChannelConfig, db_to_linear, gain_blocks
+from .channel import sample_gains  # noqa: F401 -- unused; bench/spans.py wraps it
 
 # the sweep's fading model: Rayleigh gains with unit mean
 _FADING = ChannelConfig()
@@ -55,7 +56,7 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).  S and the
     received powers are computed in Python floats, which overflow to inf
     without a warning; an input whose S or S h2 + noise is not finite is
-    rejected, as is L_s <= 0 or alpha_a P_a < 0.
+    rejected, as is L_s <= 0, alpha_a P_a < 0 or a negative gain.
     """
     values = astuple(inp)
     if not np.all(np.isfinite(values)):
@@ -63,6 +64,8 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = map(float, values)
     if not (L_s > 0 and alpha_a * P_a >= 0):
         raise ValueError(f"secrecy inputs need L_s > 0 and alpha_a P_a >= 0, got {inp}")
+    if not (h2_a >= 0 and h2_ev >= 0):
+        raise ValueError(f"gains h2_a and h2_ev must be nonnegative, got {inp}")
     S = math.sqrt(alpha_a * P_a) / L_s
     if not sigma_zprime2 > 0:
         raise ValueError("residual noise variance sigma_zprime2 must be positive")
@@ -211,36 +214,53 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _leaf_sums(blocks: list[slice], buf: np.ndarray, h2: np.ndarray, points: list,
-               delta_hs: list, ev_noise: float, log2_ev_noise: float) -> list:
-    """Per leaf in `blocks`, the (c, c_s, c_ev) sums of every point, computed
-    in `buf` (len(delta_hs) + 3 rows of at least the widest leaf)."""
-    leaf_sums = []
-    for block in blocks:
-        x = h2[block]
-        width = x.size
-        h2_ev = buf[:len(delta_hs), :width]
-        c_s, c_ev, c = buf[len(delta_hs):, :width]
-        for row, delta_h in zip(h2_ev, delta_hs):
-            np.subtract(x, delta_h, out=row)
-            np.maximum(row, 0.0, out=row)
-        sums = []
-        for S, sigma_zprime2, log2_szp2, j, new_c_s in points:
-            if new_c_s:
-                np.multiply(S, x, out=c_s)
-                c_s += sigma_zprime2
-                np.log2(c_s, out=c_s)
-                c_s -= log2_szp2
-                sum_c_s = np.add.reduce(c_s)
+def _leaf_sums(x: np.ndarray, buf: np.ndarray, points: list, delta_hs: list,
+               ev_noise: float, log2_ev_noise: float) -> list:
+    """The (c, c_s, c_ev) sums of every point over one leaf's gains `x`,
+    computed in `buf` (len(delta_hs) + 3 rows of at least x.size)."""
+    width = x.size
+    h2_ev = buf[:len(delta_hs), :width]
+    c_s, c_ev, c = buf[len(delta_hs):, :width]
+    for row, delta_h in zip(h2_ev, delta_hs):
+        np.subtract(x, delta_h, out=row)
+        np.maximum(row, 0.0, out=row)
+    sums = []
+    for S, sigma_zprime2, log2_szp2, j, new_c_s, new_c_ev in points:
+        if new_c_s:
+            np.multiply(S, x, out=c_s)
+            c_s += sigma_zprime2
+            np.log2(c_s, out=c_s)
+            c_s -= log2_szp2
+            sum_c_s = np.add.reduce(c_s)
+        if new_c_ev:
             np.multiply(S, h2_ev[j], out=c_ev)
             c_ev += ev_noise
             np.log2(c_ev, out=c_ev)
             c_ev -= log2_ev_noise
-            np.subtract(c_s, c_ev, out=c)
-            np.maximum(c, 0.0, out=c)
-            sums.append((np.add.reduce(c), sum_c_s, np.add.reduce(c_ev)))
-        leaf_sums.append(sums)
-    return leaf_sums
+            sum_c_ev = np.add.reduce(c_ev)
+        np.subtract(c_s, c_ev, out=c)
+        np.maximum(c, 0.0, out=c)
+        sums.append((np.add.reduce(c), sum_c_s, sum_c_ev))
+    return sums
+
+
+def _log2_cancels(noise: float) -> bool:
+    """Whether log2 over a run of `noise` minus the scalar log2(noise) is +0.0
+    in every element: what _leaf_sums computes for c_s or c_ev at S = 0.  The
+    run spans several SIMD vectors and a tail."""
+    run = np.full(71, noise)
+    np.log2(run, out=run)
+    run -= np.log2(noise)
+    return not (np.any(run) or np.any(np.signbit(run)))
+
+
+def _check_count(name: str, value, low: int) -> int:
+    """`value` as an int, if it is an integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
 
 
 def monte_carlo_secrecy(
@@ -249,33 +269,37 @@ def monte_carlo_secrecy(
     """Average the secrecy capacity over fading realizations per sweep point.
 
     Deterministic given the seed; all sweep points share one set of channel
-    draws so monotonicity comparisons are paired.  A draw whose largest
-    S h2 plus noise overflows is rejected, since its means would be NaN.
+    draws so monotonicity comparisons are paired.  n_samples (at least 1)
+    and seed (at least 0) must be integers.  A draw whose largest S h2 plus
+    noise overflows is rejected, since its means would be NaN.
 
     The sample axis is walked in cache-sized blocks of at most _BLOCK =
     32768 samples, the leaves of numpy's pairwise-summation tree
     (_tree_blocks), and every point is evaluated on a block before the next
     block is read (_leaf_sums).  Per block, max(h2 - delta_h, 0) is computed
-    once per distinct delta_h and c_s once per run of points that share
-    (S, sigma_zprime2); c_ev and c are computed per point.  The values go
-    through the same float operations in the same order as the full-array
-    formulas (S*h2, + noise, log2, - log2(noise); c_s - c_ev, max(., 0)),
-    each block is reduced with np.add.reduce, and the block sums are added
-    up the same tree (_tree_sum) and divided by n.  That is the sum and
-    divide that ndarray.mean runs, so every mean equals the full-array mean
-    bit for bit.
+    once per distinct delta_h, c_s once per run of points that share
+    (S, sigma_zprime2) and c_ev once per run that shares (S, delta_h); c is
+    computed per point.  The values go through the same float operations in
+    the same order as the full-array formulas (S*h2, + noise, log2,
+    - log2(noise); c_s - c_ev, max(., 0)), each block is reduced with
+    np.add.reduce, and the block sums are added up the same tree
+    (_tree_sum) and divided by n.  That is the sum and divide that
+    ndarray.mean runs, so every mean equals the full-array mean bit for bit.
+    A point with S = 0 has c_s = c_ev = c = +0.0 in every sample (checked
+    once, _log2_cancels), so its three means are +0.0 without block work.
 
-    The leaves are independent, so they are split into one contiguous run
-    per worker, one worker per CPU this process may run on
-    (os.sched_getaffinity, else os.cpu_count), at most one per leaf.  The
-    calling thread reduces the first run and threading.Threads the others,
-    each in its own buffer; numpy's ufuncs release the GIL.  The leaf sums
-    are joined in leaf order, so every worker count gives the same bits.
+    The gains are drawn block by block (channel.gain_blocks), so only one
+    n-sample array is held, and each block is handed out as soon as it is
+    drawn and its largest S h2 plus noise is checked.  One worker per CPU
+    this process may run on (os.sched_getaffinity, else os.cpu_count), at
+    most one per block, takes the blocks as they land, each in its own
+    buffer: threading.Threads from the start, and the calling thread once
+    the draw is done; numpy's ufuncs and normal draws release the GIL.  The
+    block sums are stored by block index and added in tree order, so every
+    worker count gives the same bits.  With one usable CPU no thread starts.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    h2 = sample_gains(_FADING, n_samples, rng)
+    n_samples = _check_count("n_samples", n_samples, 1)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     ev_noise = sweep.eavesdropper_noise()
     log2_ev_noise = np.log2(ev_noise)
     delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
@@ -283,46 +307,65 @@ def monte_carlo_secrecy(
     coords = list(product(
         sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
     ))
-    points = []  # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s)
-    last = None
-    for alpha, p_db, delta_h, sA2_db in coords:
-        S = sweep.signal_factor(alpha, p_db)
-        sigma_zprime2 = sweep.residual_noise(sA2_db)
-        points.append((S, sigma_zprime2, np.log2(sigma_zprime2),
-                       delta_hs.index(delta_h), (S, sigma_zprime2) != last))
-        last = (S, sigma_zprime2)
+    signals = [(sweep.signal_factor(alpha, p_db), sweep.residual_noise(sA2_db),
+                delta_hs.index(delta_h)) for alpha, p_db, delta_h, sA2_db in coords]
     # S h2 + noise grows with each factor; Python floats overflow unwarned
-    top_S, top_h2 = max(p[0] for p in points), float(h2.max())
-    if not math.isfinite(top_S * top_h2 + float(max(ev_noise, *(p[1] for p in points)))):
-        raise ValueError(f"received power S |h|^2 + noise overflows at L_s = {sweep.L_s}: "
-                         f"S = {top_S}, largest drawn |h|^2 = {top_h2}")
+    top_S = max(S for S, _, _ in signals)
+    top_noise = float(max(ev_noise, *(szp2 for _, szp2, _ in signals)))
+    skipped = [S == 0 and _log2_cancels(szp2) and _log2_cancels(ev_noise)
+               for S, szp2, _ in signals]
+    # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s, new c_ev)
+    points = []
+    last_c_s = last_c_ev = None
+    for (S, szp2, j), skip in zip(signals, skipped):
+        if not skip:
+            points.append((S, szp2, np.log2(szp2), j, (S, szp2) != last_c_s,
+                           (S, j) != last_c_ev))
+            last_c_s, last_c_ev = (S, szp2), (S, j)
+
+    import queue  # here, not at the top: it adds a millisecond to every cold start
 
     blocks = _tree_blocks(n_samples)
     workers = min(_cpu_count(), len(blocks))
-    ends = [len(blocks) * w // workers for w in range(workers + 1)]
-    runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
     # allocated here, not in the threads, to keep the peak RSS down
     bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
-    args = (h2, points, delta_hs, ev_noise, log2_ev_noise)
-    run_sums = [None] * workers
+    args = (points, delta_hs, ev_noise, log2_ev_noise)
+    leaf_sums = [None] * len(blocks)
+    landed = queue.SimpleQueue()  # (block index, gains), then one None per worker
     errors = []
 
     def work(w: int) -> None:
-        try:
-            run_sums[w] = _leaf_sums(runs[w], bufs[w], *args)
-        except BaseException as exc:
-            errors.append(exc)
+        while (item := landed.get()) is not None:
+            if errors:
+                continue
+            i, x = item
+            try:
+                leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
+    top_h2 = 0.0
+    try:
+        for i, x in enumerate(gain_blocks(_FADING, n_samples, rng, blocks)):
+            top_h2 = max(top_h2, float(x.max()))
+            if math.isfinite(top_S * top_h2 + top_noise):
+                landed.put((i, x))
+    except BaseException as exc:  # re-raised once every worker is joined
+        errors.append(exc)
+    for _ in range(workers):
+        landed.put(None)
     work(0)
     for thread in threads:
         thread.join()
     if errors:
         raise errors[0]
-    leaf_sums = np.array([sums for run in run_sums for sums in run])
-    means = _tree_sum(iter(leaf_sums), n_samples) / n_samples
+    if not math.isfinite(top_S * top_h2 + top_noise):
+        raise ValueError(f"received power S |h|^2 + noise overflows at L_s = {sweep.L_s}: "
+                         f"S = {top_S}, largest drawn |h|^2 = {top_h2}")
+    means = iter(_tree_sum(iter(np.array(leaf_sums)), n_samples) / n_samples)
 
     return [
         SweepResult(
@@ -330,5 +373,5 @@ def monte_carlo_secrecy(
             mean_c=float(mean_c), mean_c_s=float(mean_c_s), mean_c_ev=float(mean_c_ev),
         )
         for (alpha, p_db, delta_h, sA2_db), (mean_c, mean_c_s, mean_c_ev)
-        in zip(coords, means)
+        in zip(coords, ((0.0, 0.0, 0.0) if skip else next(means) for skip in skipped))
     ]

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from airfl.channel import ChannelConfig, awgn, db_to_linear, sample_channel, sample_gains
+from airfl import secrecy
+from airfl.channel import (
+    ChannelConfig,
+    awgn,
+    db_to_linear,
+    gain_blocks,
+    sample_channel,
+    sample_gains,
+)
 
 
 def rng(seed=0):
@@ -92,3 +100,30 @@ def test_sample_gains_matches_model():
     # the fixed gains of a link are not a Monte Carlo model
     with pytest.raises(ValueError, match="sample_gains draws Rayleigh gains"):
         sample_gains(ChannelConfig(fading_mode="fixed", fixed_gains=(2.5,)), 10, rng())
+
+
+@pytest.mark.parametrize("n, block", [(1, None), (7, None), (1003, None),
+                                      (123_457, 1000), (3 * 10**6, None)])
+def test_gain_blocks_draw_like_sample_gains(monkeypatch, n, block):
+    # one leaf, n not a multiple of 8, many small leaves and the 3e6 tree:
+    # the same gains and the same generator state as one sample_gains call,
+    # and as the Rayleigh law written out with one draw per component
+    if block is not None:
+        monkeypatch.setattr(secrecy, "_BLOCK", block)
+    blocks = secrecy._tree_blocks(n)
+    r_blocks, r_once, r_law = rng(n), rng(n), rng(n)
+    leaves = list(gain_blocks(ChannelConfig(), n, r_blocks, blocks))
+    assert [leaf.size for leaf in leaves] == [b.stop - b.start for b in blocks]
+    h2 = np.concatenate(leaves)
+    assert np.array_equal(h2, sample_gains(ChannelConfig(), n, r_once))
+    re = r_law.normal(0.0, np.sqrt(0.5), size=n)
+    im = r_law.normal(0.0, np.sqrt(0.5), size=n)
+    assert np.array_equal(h2, re**2 + im**2)
+    assert r_blocks.bit_generator.state == r_once.bit_generator.state == r_law.bit_generator.state
+
+
+@pytest.mark.parametrize("blocks", [[], [slice(0, 4)], [slice(0, 5), slice(6, 10)],
+                                    [slice(0, 10, 2)], [slice(1, 10)]])
+def test_gain_blocks_must_tile_the_samples(blocks):
+    with pytest.raises(ValueError, match="must tile range"):
+        next(gain_blocks(ChannelConfig(), 10, rng(), blocks))

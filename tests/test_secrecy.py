@@ -87,6 +87,13 @@ class TestSecrecyPoint:
         with pytest.raises(ValueError, match="L_s > 0 and alpha_a P_a >= 0"):
             point(**kw)
 
+    @pytest.mark.parametrize("kw", [{"h2_a": -5.0}, {"h2_ev": -0.5}])
+    def test_negative_gain_rejected(self, kw):
+        # h2_a = -5 once gave c = nan after numpy's "invalid value" warning,
+        # and h2_ev = -0.5 silently gave snr_ev = -0.25
+        with pytest.raises(ValueError, match="gains h2_a and h2_ev must be nonnegative"):
+            point(**kw)
+
     @pytest.mark.parametrize("name", ["h2_a", "sigma_zprime2", "h2_ev", "alpha_a"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, name, value):
@@ -157,6 +164,24 @@ class TestMonteCarloSecrecy:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             monte_carlo_secrecy(base_sweep(), 0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            monte_carlo_secrecy(base_sweep(), 10, seed=-1)
+
+    @pytest.mark.parametrize("kw", [
+        {"n_samples": 10.5}, {"n_samples": True}, {"n_samples": np.float64(3.0)},
+        {"n_samples": "5"}, {"seed": 1.5}, {"seed": False}, {"seed": np.float64(2.0)},
+    ])
+    def test_non_integer_count_rejected(self, kw):
+        # each once raised a TypeError from numpy or from a comparison
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            monte_carlo_secrecy(base_sweep(), **{"n_samples": 10, "seed": 0, **kw})
+
+    def test_numpy_integers_accepted(self):
+        assert (monte_carlo_secrecy(base_sweep(), np.int64(100), seed=np.uint8(3))
+                == monte_carlo_secrecy(base_sweep(), 100, seed=3))
 
 
 class TestSweepValidation:
@@ -285,6 +310,30 @@ class TestBlockedEngineExact:
         sweep = EXACT_SWEEPS[name]
         assert monte_carlo_secrecy(sweep, n, seed=n) == reference_sweep(sweep, n, seed=n)
 
+    @pytest.mark.parametrize("cancels", [True, False])
+    @pytest.mark.parametrize("name", ["fig3", "mixed"])
+    def test_zero_signal_points_skip_leaf_work(self, monkeypatch, name, cancels):
+        # alpha = 0 gives S = 0, whose three means are +0.0; the leaves
+        # evaluate only the other points, unless the log2 check says the
+        # per-sample values at S = 0 would not be exactly +0.0
+        sweep, n = EXACT_SWEEPS[name], 5_001
+        leaf_sums, evaluated = secrecy._leaf_sums, set()
+
+        def counted(x, buf, points, *args):
+            evaluated.add(len(points))
+            return leaf_sums(x, buf, points, *args)
+
+        monkeypatch.setattr(secrecy, "_leaf_sums", counted)
+        if not cancels:
+            monkeypatch.setattr(secrecy, "_log2_cancels", lambda noise: False)
+        results = monte_carlo_secrecy(sweep, n, seed=n)
+        assert results == reference_sweep(sweep, n, seed=n)
+        zero = [r for r in results if r.alpha == 0.0]
+        assert zero and all(
+            m == 0.0 and not np.signbit(m)
+            for r in zero for m in (r.mean_c, r.mean_c_s, r.mean_c_ev))
+        assert evaluated == {len(results) - (len(zero) if cancels else 0)}
+
     @pytest.mark.parametrize("n", TREE_LENGTHS + (3 * 10**6,))
     def test_tree_sum_matches_add_reduce(self, n):
         x = np.random.default_rng(n).standard_normal(n) * 1e3
@@ -353,21 +402,63 @@ class TestParallelLeaves:
         assert results == reference_results("mixed", 5_001)
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        n = 50_001
+        # every worker thread fails its leaves, and the calling thread holds
+        # its leaves until one has, so the error comes from a non-first worker
         leaf_sums = secrecy._leaf_sums
+        failed = threading.Event()
 
-        def fail_in_last_run(blocks, *args):
-            if blocks[-1].stop == n:
-                raise ArithmeticError("leaf failed")
-            return leaf_sums(blocks, *args)
+        def fail_off_caller(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)
+                return leaf_sums(*args)
+            failed.set()
+            raise ArithmeticError("leaf failed")
 
         monkeypatch.setattr(secrecy, "_BLOCK", 1000)
         monkeypatch.setattr(secrecy, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(secrecy, "_leaf_sums", fail_in_last_run)
+        monkeypatch.setattr(secrecy, "_leaf_sums", fail_off_caller)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match="leaf failed"):
-            monte_carlo_secrecy(EXACT_SWEEPS["fig3"], n, seed=0)
+            monte_carlo_secrecy(EXACT_SWEEPS["fig3"], 50_001, seed=0)
+        assert failed.is_set()
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("landed", [0, 3])
+    def test_draw_error_joins_every_worker(self, monkeypatch, landed):
+        # the draw fails before or after some leaves were handed out
+        gain_blocks = secrecy.gain_blocks
+        evaluated = []
+        leaf_sums = secrecy._leaf_sums
+
+        def failing_draw(*args):
+            for i, x in enumerate(gain_blocks(*args)):
+                if i == landed:
+                    raise MemoryError("draw failed")
+                yield x
+
+        def counted(x, *args):
+            evaluated.append(x.size)
+            return leaf_sums(x, *args)
+
+        monkeypatch.setattr(secrecy, "_BLOCK", 1000)
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(secrecy, "gain_blocks", failing_draw)
+        monkeypatch.setattr(secrecy, "_leaf_sums", counted)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            monte_carlo_secrecy(EXACT_SWEEPS["fig3"], 50_001, seed=0)
+        assert threading.active_count() == threads
+        assert len(evaluated) <= landed
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, reference_results):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(secrecy, "_BLOCK", 1000)
+        monkeypatch.setattr(secrecy, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(secrecy.threading, "Thread", no_thread)
+        assert (monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001)
+                == reference_results("mixed", 5_001))
 
     def test_worker_count_is_the_usable_cpus(self, monkeypatch):
         if hasattr(secrecy.os, "sched_getaffinity"):
