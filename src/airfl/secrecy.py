@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from itertools import product
@@ -323,19 +324,18 @@ def monte_carlo_secrecy(
                            (S, j) != last_c_ev))
             last_c_s, last_c_ev = (S, szp2), (S, j)
 
-    import queue  # here, not at the top: it adds a millisecond to every cold start
-
     blocks = _tree_blocks(n_samples)
     workers = min(_cpu_count(), len(blocks))
     # allocated here, not in the threads, to keep the peak RSS down
     bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
     args = (points, delta_hs, ev_noise, log2_ev_noise)
     leaf_sums = [None] * len(blocks)
-    landed = queue.SimpleQueue()  # (block index, gains), then one None per worker
+    landed = deque()  # (block index, gains) as drawn, then one None per worker
+    ready = threading.Semaphore(0)  # released once per entry of landed
     errors = []
 
     def work(w: int) -> None:
-        while (item := landed.get()) is not None:
+        while ready.acquire() and (item := landed.popleft()) is not None:
             if errors:
                 continue
             i, x = item
@@ -352,11 +352,12 @@ def monte_carlo_secrecy(
         for i, x in enumerate(gain_blocks(_FADING, n_samples, rng, blocks)):
             top_h2 = max(top_h2, float(x.max()))
             if math.isfinite(top_S * top_h2 + top_noise):
-                landed.put((i, x))
+                landed.append((i, x))
+                ready.release()
     except BaseException as exc:  # re-raised once every worker is joined
         errors.append(exc)
-    for _ in range(workers):
-        landed.put(None)
+    landed.extend([None] * workers)
+    ready.release(workers)
     work(0)
     for thread in threads:
         thread.join()
