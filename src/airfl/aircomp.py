@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from ._checks import count, positive, unit_interval
 from .channel import awgn  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
 from .pcran import (
     NoiseStats,
@@ -56,8 +57,8 @@ def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     stack clips bit for bit like its rows one by one (an einsum norm sums in
     another order); L_s / max(norm, L_s) is exactly 1 within the bound.
     """
-    if not L_s > 0:
-        raise ValueError("gradient-norm bound L_s must be positive")
+    if not 0 < L_s < np.inf:
+        raise ValueError(f"gradient-norm bound L_s must be finite and positive, got {L_s}")
     g = np.asarray(g, dtype=float)
     norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
     return g * (L_s / np.maximum(norm, L_s))[..., None]
@@ -81,13 +82,8 @@ def plan_link(
     users = sorted(u for pair in pairing.pairs for u in pair)
     if users != list(range(K)):
         raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
-    if alloc.m <= 0:
-        raise ValueError("degenerate alignment: m must be positive")
-    if not (np.isfinite(sigma_z2) and sigma_z2 >= 0):
-        raise ValueError(f"sigma_z2 must be finite and nonnegative, got {sigma_z2}")
-    beta = np.asarray(alloc.beta, dtype=float)
-    if not np.all(np.isfinite(beta) & (beta >= 0)):
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    unit_interval("alpha", alloc.alpha)
+    positive("L_s", alloc.L_s)
     stats = aggregate_noise_stats(pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
@@ -126,6 +122,8 @@ def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarra
     between calls, so a block of R rounds reads what R one-round blocks do.
     """
     K = len(plan.sig_amp)
+    count("rounds", rounds)
+    count("d", d)
     z = rng.standard_normal((rounds, len(plan.scale), d))
     z *= plan.scale
     z += plan.loc
@@ -173,6 +171,7 @@ def simulate_aggregation_rounds(
     counts; each user's noise is drawn over the rounds axis in turn, so
     memory stays at two (n_rounds, d) arrays whatever K is.
     """
+    count("n_rounds", n_rounds)
     plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
     K, d = gradients.shape
     signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)

@@ -15,20 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-
-# Largest dB value whose linear power is a finite float (about 3082.5 dB).
-# 10*log10 of the largest float rounds up to a value that overflows, so the
-# limit is the float just below it.
-MAX_DB = float(np.nextafter(10.0 * np.log10(np.finfo(float).max), 0.0))
+# MAX_DB, the largest dB value with a finite linear power, is re-exported here
+from ._checks import MAX_DB, count, decibels, nonnegative
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB power quantity to linear scale: 10^(db/10).
-
-    Values above MAX_DB overflow to inf with a numpy warning; callers that
-    take dB values from outside reject them first.
-    """
-    return float(10.0 ** (np.asarray(db) / 10.0))
+    """Convert a dB power quantity of at most MAX_DB to linear scale: 10^(db/10)."""
+    return float(10.0 ** (np.asarray(decibels("db", db)) / 10.0))
 
 
 @dataclass(frozen=True)
@@ -42,17 +35,11 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if self.fading_mode not in ("rayleigh", "fixed"):
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
-        if not np.isfinite(self.sigma_z2):
-            raise ValueError(f"sigma_z2 must be finite, got {self.sigma_z2}")
-        if self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be nonnegative")
+        nonnegative("sigma_z2", self.sigma_z2)
         if self.fading_mode == "fixed":
             if self.fixed_gains is None:
                 raise ValueError("fixed fading mode requires fixed_gains")
-            if not np.all(np.isfinite(self.fixed_gains)):
-                raise ValueError("fixed_gains must be finite")
-            if any(g < 0 for g in self.fixed_gains):
-                raise ValueError("fixed_gains must be nonnegative")
+            nonnegative("fixed_gains", self.fixed_gains)
 
 
 def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
@@ -61,8 +48,7 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
     In rayleigh mode |h_k|^2 is exponential with unit mean; in fixed mode the
     configured gains are used verbatim.
     """
-    if K < 1:
-        raise ValueError("empty system: need at least one user")
+    count("K", K)
     if config.fading_mode == "rayleigh":
         return sample_gains(config, K, rng)
     if len(config.fixed_gains) != K:
@@ -92,8 +78,7 @@ def gain_blocks(config: ChannelConfig, n: int, rng: Generator,
     if config.fading_mode != "rayleigh":
         raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
                          f"{config.fading_mode!r}")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    count("n", n)
     stops = [0] + [block.stop for block in blocks]
     if [(b.start, b.step) for b in blocks] != [(a, None) for a in stops[:-1]] or stops[-1] != n:
         raise ValueError(f"blocks must tile range({n}) left to right")
@@ -108,10 +93,8 @@ def gain_blocks(config: ChannelConfig, n: int, rng: Generator,
 
 def awgn(dim: int, sigma2: float, rng: Generator) -> np.ndarray:
     """Zero-mean i.i.d. Gaussian receiver noise with variance sigma2."""
-    if sigma2 < 0:
-        raise ValueError("noise variance must be nonnegative")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    nonnegative("sigma2", sigma2)
+    count("dim", dim)
     if sigma2 == 0:
         return np.zeros(dim)
     return rng.normal(0.0, np.sqrt(sigma2), size=dim)

@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
 
+from ._checks import count, decibels, nonnegative, positive, unit_interval
 from .aircomp import simulate_aggregation_rounds
-from .channel import MAX_DB, ChannelConfig, db_to_linear
+from .channel import ChannelConfig, db_to_linear
 from .channel import sample_channel  # noqa: F401 -- unused; bench/spans.py wraps it
 from .fl_core import (
     TrainSettings,
@@ -39,43 +39,8 @@ class ConfigError(ValueError):
     """Raised when an experiment configuration is missing or malformed."""
 
 
-def _is_real(value) -> bool:
-    """True for a finite int or float (a bool is not a number here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def _real(requirement: str, in_range):
-    def check(name, value):
-        if not (_is_real(value) and in_range(value)):
-            raise ConfigError(f"{name} must be {requirement}, got {value!r}")
-        return value
-    return check
-
-
-# numpy sizes and indices are intp; a larger count fails inside numpy
-_MAX_COUNT = int(np.iinfo(np.intp).max)
-
-
-def _count(minimum: int):
-    def check(name, value):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-        if value > _MAX_COUNT:
-            raise ConfigError(f"{name} must be at most {_MAX_COUNT}, got {value}")
-        return value
-    return check
-
-
 def _user_count(name, value):
-    _count(2)(name, value)
-    if value % 2:
+    if count(name, value, 2) % 2:
         raise ConfigError(
             f"{name}: odd user count K={value} is unsupported by the pairwise scheme"
         )
@@ -99,19 +64,12 @@ def _path(name, value):
     return value
 
 
-_UNIT = _real("a finite value in [0, 1]", lambda v: 0 <= v <= 1)
-_POSITIVE = _real("a finite positive value", lambda v: v > 0)
-_NONNEGATIVE = _real("a finite nonnegative value", lambda v: v >= 0)
-# a larger dB value overflows to an infinite linear power
-_DB = _real(f"a finite value at most {MAX_DB} dB", lambda v: v <= MAX_DB)
-
-
 def _split(name, value):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(
             f"each {name} entry must be an [alpha_cap, beta] pair, got {value!r}"
         )
-    return _UNIT("alpha", value[0]), _UNIT("beta", value[1])
+    return unit_interval("alpha", value[0]), unit_interval("beta", value[1])
 
 
 def _splits(name, value):
@@ -126,32 +84,33 @@ def _splits(name, value):
 
 # One rule per config field: (field name, value) -> the value to store.
 _RULES = {
-    "seed": _count(0),
+    "seed": lambda name, value: count(name, value, 0),
     "out": _path,
-    "samples": _count(1),
-    "n_seeds": _count(1),
-    "d": _count(1),
-    "T": _count(1),
-    "n_per_user": _count(1),
+    "samples": count,
+    "n_seeds": count,
+    "d": count,
+    "T": count,
+    "n_per_user": count,
     "users": _user_count,
     "k_grid": _grid(_user_count),
     "splits": _splits,
-    "alpha": _UNIT,
-    "beta": _UNIT,
-    "alpha_grid": _grid(_UNIT, "alpha"),
-    "powers_db": _grid(_DB),
-    "sigma_A2_db_grid": _grid(_DB),
-    "sigma_a2_db": _DB,
-    "delta_h_values": _grid(_NONNEGATIVE),
-    "sigma_z2": _NONNEGATIVE,
-    "L_s": _POSITIVE,
-    "reg_lambda": _POSITIVE,
+    "alpha": unit_interval,
+    "beta": unit_interval,
+    "alpha_grid": _grid(unit_interval, "alpha"),
+    "powers_db": _grid(decibels),
+    "sigma_A2_db_grid": _grid(decibels),
+    "sigma_a2_db": decibels,
+    "delta_h_values": _grid(nonnegative),
+    "sigma_z2": nonnegative,
+    "L_s": positive,
+    "reg_lambda": positive,
 }
 
 
 @dataclass(frozen=True)
 class _Config:
-    """Fields every experiment reads; each field is checked by its _RULES entry.
+    """Fields every experiment reads; each field is checked by its _RULES entry,
+    whose ValueError is raised as a ConfigError.
 
     Defaults follow the reference operating point: unit channel noise, unit
     gradient-norm bound, transmit power 30 dB.  A field named in `one_entry`
@@ -169,7 +128,10 @@ class _Config:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = _RULES[f.name](f.name, getattr(self, f.name))
+            try:
+                value = _RULES[f.name](f.name, getattr(self, f.name))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             if f.name in self.one_entry and len(value) != 1:
                 raise ConfigError(
                     f"{self.experiment} reads one {f.name} entry, got {len(value)}"

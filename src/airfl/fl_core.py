@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
+from ._checks import count, finite, nonnegative, positive, unit_interval
 from .aircomp import clip_gradient, draw_noise, plan_link, simulate_round
 from .channel import ChannelConfig, sample_channel
 from .pcran import (
@@ -87,10 +88,8 @@ def make_task(
     rng: Generator,
 ) -> SyntheticTask:
     """Generate a synthetic ridge task with a known planted model."""
-    if not (K >= 1 and n_per_user >= 1 and d >= 1):
-        raise ValueError(f"K, n_per_user and d must be at least 1, got {(K, n_per_user, d)}")
-    if not 0 < reg_lambda < math.inf:
-        raise ValueError("reg_lambda must be finite and positive for strong convexity")
+    K, n_per_user, d = count("K", K), count("n_per_user", n_per_user), count("d", d)
+    positive("reg_lambda", reg_lambda)  # strong convexity
     U = rng.normal(0.0, 1.0 / np.sqrt(d), size=(K, n_per_user, d))
     w_true = rng.normal(0.0, 1.0, size=d)
     V = U @ w_true + rng.normal(0.0, 1.0, size=(K, n_per_user))
@@ -139,17 +138,11 @@ def convergence_bound(inputs: BoundInputs) -> float:
 
     (2 mu / (lam^2 T)) * (L_s^2 + (d / (m^2 K^2)) * (noise_power_sum + sigma_z2))
     """
-    if not inputs.T >= 1:
-        raise ValueError("T must be at least 1")
-    if not (inputs.mu > 0 and inputs.lam > 0 and inputs.L_s > 0):
-        raise ValueError("mu, lam and L_s must be positive, got "
-                         f"{(inputs.mu, inputs.lam, inputs.L_s)}")
-    if not inputs.m > 0:
-        raise ValueError("alignment constant m must be positive")
-    if not (inputs.K >= 1 and inputs.d >= 1):
-        raise ValueError(f"K and d must be at least 1, got {(inputs.K, inputs.d)}")
-    if not (inputs.noise_power_sum >= 0 and inputs.sigma_z2 >= 0):
-        raise ValueError("noise powers must be nonnegative")
+    rules = {"T": count, "K": count, "d": count, "mu": positive, "lam": positive,
+             "L_s": positive, "m": positive, "noise_power_sum": nonnegative,
+             "sigma_z2": nonnegative}
+    for name, rule in rules.items():
+        rule(name, getattr(inputs, name))
     noise = (inputs.d / (inputs.m**2 * inputs.K**2)) * (
         inputs.noise_power_sum + inputs.sigma_z2
     )
@@ -168,14 +161,10 @@ class TrainSettings:
     eta: float | None = None  # None -> 1/(reg_lambda * t) schedule
 
     def __post_init__(self) -> None:
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
-            raise ValueError(f"T must be an integer, got {self.T!r}")
-        if not self.T >= 1:
-            raise ValueError(f"T must be at least 1, got {self.T}")
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError(f"power must be finite and positive, got {self.power}")
-        if self.eta is not None and not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        count("T", self.T)
+        positive("power", self.power)
+        if self.eta is not None:
+            finite("eta", self.eta)
 
 
 def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
@@ -208,8 +197,9 @@ def draw_link(
     Every user transmits at `power`; channel inversion sets m and alpha_k,
     and each user's noise fraction is beta cut back to 1 - alpha_k.
     """
+    unit_interval("beta", beta)
     h2 = sample_channel(channel_config, K, rng)
-    P = np.full(K, power)
+    P = np.full(K, positive("power", power))
     m, alpha = compute_alignment(h2, P, L_s, alpha_cap=alpha_cap)
     beta = np.minimum(np.full(K, beta), 1.0 - alpha)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=L_s)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from ._checks import count, finite, nonnegative, positive, unit_interval
+
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
@@ -30,10 +32,9 @@ class PairSecret:
     sigma2_neg: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and 0 < self.sigma2_pos < math.inf
-                and 0 < self.sigma2_neg < math.inf):
-            raise ValueError(f"secret needs a finite mean and finite positive "
-                             f"variances, got {self}")
+        finite("mu", self.mu)
+        positive("sigma2_pos", self.sigma2_pos)
+        positive("sigma2_neg", self.sigma2_neg)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class BetaAllocation:
 
 def form_pairs(K: int, rng: Generator) -> Pairing:
     """Randomly match K users (K even) into positive/negative role pairs."""
-    if K < 2 or K % 2 != 0:
+    if count("K", K, 2) % 2 != 0:
         raise ValueError(f"pairwise noise needs an even number of users, got K={K}")
     perm = rng.permutation(K)
     pairs = tuple((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(K // 2))
@@ -102,7 +103,7 @@ def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
     """Draw per-pair secrets: mu uniform in [0.5, 1.5] and unit variances,
     each still read as a uniform on [1, 1] (three uniforms per pair)."""
     secrets = []
-    for _ in range(n_pairs):
+    for _ in range(count("n_pairs", n_pairs, 0)):
         mu = rng.uniform(0.5, 1.5)
         s_pos = rng.uniform(1.0, 1.0)
         s_neg = rng.uniform(1.0, 1.0)
@@ -112,8 +113,7 @@ def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
 
 def draw_pcran(secret: PairSecret, role: str, dim: int, rng: Generator) -> np.ndarray:
     """Sample one user's artificial-noise vector for its pair role."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    count("dim", dim)
     if role == POSITIVE:
         mean, var = secret.mu, secret.sigma2_pos
     elif role == NEGATIVE:
@@ -138,19 +138,13 @@ def compute_alignment(
     "alpha_k = 0.5" operating point on equal-gain channels).  An m that
     overflows (L_s far below the signal amplitude) is rejected.
     """
-    h2 = np.asarray(h2, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if not L_s > 0:
-        raise ValueError("gradient-norm bound L_s must be positive")
-    if not 0 < alpha_cap <= 1:
+    h2 = np.asarray(nonnegative("h2", h2), dtype=float)
+    P = np.asarray(positive("P", P), dtype=float)
+    positive("L_s", L_s)
+    if not unit_interval("alpha_cap", alpha_cap) > 0:
         raise ValueError("alpha_cap must lie in (0, 1]")
-    eff = h2 * P
-    if not np.all(np.isfinite(eff)):
-        raise ValueError("channel gains and powers must be finite")
-    if np.any(P <= 0):
-        raise ValueError(f"transmit power P must be positive, got {P}")
-    if np.any(h2 < 0):
-        raise ValueError(f"channel gain h2 must be nonnegative, got {h2}")
+    with np.errstate(over="ignore"):  # an overflowing product is rejected here
+        eff = finite("h2 * P", h2 * P)
     if np.any(eff == 0):
         raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
     worst = float(eff.min())  # first index wins on ties via min
@@ -182,24 +176,20 @@ def optimize_beta_dp(
     Psi <= 0 means the privacy demand is already met by channel noise and no
     artificial noise is allocated.
     """
-    h2 = np.asarray(h2, dtype=float)
-    P = np.asarray(P, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    if not (h2.ndim == 1 and h2.shape == P.shape == eps.shape == caps.shape):
-        raise ValueError(f"h2, P, eps and caps need one entry per user, got shapes "
-                         f"{h2.shape}, {P.shape}, {eps.shape} and {caps.shape}")
-    if not np.all(eps > 0):
-        raise ValueError(f"all privacy levels eps must be positive, got {eps}")
+    h2 = np.asarray(positive("h2", h2), dtype=float)
+    P = np.asarray(positive("P", P), dtype=float)
+    eps = np.asarray(positive("eps", eps), dtype=float)
+    caps = np.asarray(nonnegative("caps", caps), dtype=float)
+    alpha = np.zeros(h2.shape) if alpha is None else unit_interval("alpha", alpha)
+    shapes = [np.shape(v) for v in (h2, P, eps, caps, alpha)]
+    if h2.ndim != 1 or len(set(shapes)) != 1:
+        raise ValueError(f"h2, P, eps, caps and alpha need one entry per user, got "
+                         f"shapes {shapes}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not (np.isfinite(sigma_z2) and sigma_z2 >= 0):
-        raise ValueError(f"sigma_z2 must be finite and nonnegative, got {sigma_z2}")
-    if not np.all(caps >= 0):
-        raise ValueError(f"caps must be nonnegative, got {caps}")
-    eff = h2 * P
-    if not np.all(np.isfinite(eff) & (eff > 0)):
-        raise ValueError("degenerate channel: gains and powers must be finite and positive")
+    nonnegative("sigma_z2", sigma_z2)
+    with np.errstate(over="ignore"):  # an overflowing product is rejected here
+        eff = positive("h2 * P", h2 * P)
 
     worst = float(eff.min())
     psi = float(np.max(worst / eps) * np.log(1.25 / delta) - sigma_z2)
@@ -213,8 +203,8 @@ def optimize_beta_dp(
         beta[k] = z_k / eff[k]
         used += eff[k] * beta[k]
 
-    upper = np.ones(K) if alpha is None else 1.0 - np.asarray(alpha, dtype=float)
-    return BetaAllocation(beta=np.clip(beta, 0.0, upper), psi=psi)
+    return BetaAllocation(beta=np.clip(beta, 0.0, 1.0 - np.asarray(alpha, dtype=float)),
+                          psi=psi)
 
 
 def noise_gains(h2: np.ndarray, P: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -244,6 +234,9 @@ def aggregate_noise_stats(
     """
     if len(secrets) != len(pairing.pairs):
         raise ValueError("need one secret per pair")
+    for name, value in (("h2", h2), ("P", P), ("beta", beta), ("sigma_z2", sigma_z2)):
+        nonnegative(name, value)
+    positive("alignment constant m", m)
     K = pairing.num_users
     c = equalized_gain(noise_gains(h2, P, beta))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))

@@ -12,12 +12,13 @@ import os
 import threading
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .channel import MAX_DB, ChannelConfig, db_to_linear, gain_blocks
+from ._checks import count, decibels, nonnegative, positive, unit_interval
+from .channel import ChannelConfig, db_to_linear, gain_blocks
 from .channel import sample_gains  # noqa: F401 -- unused; bench/spans.py wraps it
 
 # the sweep's fading model: Rayleigh gains with unit mean
@@ -54,22 +55,18 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
 
     c_s = log2(S h2_a + sigma_zprime2) - log2(sigma_zprime2) with
     S = sqrt(alpha_a P_a)/L_s; the eavesdropper sees noise sigma_z2 +
-    sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).  S and the
-    received powers are computed in Python floats, which overflow to inf
-    without a warning; an input whose S or S h2 + noise is not finite is
-    rejected, as is L_s <= 0, alpha_a P_a < 0 or a negative gain.
+    sigma_a2; the secrecy capacity is max(c_s - c_ev, 0).  Every input is
+    finite, alpha_a lies in [0, 1], L_s and sigma_zprime2 are positive and the
+    rest nonnegative.  S and the received powers are computed in Python
+    floats, which overflow to inf without a warning; an input whose S or
+    S h2 + noise is not finite is rejected.
     """
-    values = astuple(inp)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"secrecy inputs must be finite, got {inp}")
-    alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = map(float, values)
-    if not (L_s > 0 and alpha_a * P_a >= 0):
-        raise ValueError(f"secrecy inputs need L_s > 0 and alpha_a P_a >= 0, got {inp}")
-    if not (h2_a >= 0 and h2_ev >= 0):
-        raise ValueError(f"gains h2_a and h2_ev must be nonnegative, got {inp}")
+    rules = {"alpha_a": unit_interval, "P_a": nonnegative, "L_s": positive,
+             "h2_a": nonnegative, "h2_ev": nonnegative, "sigma_z2": nonnegative,
+             "sigma_a2": nonnegative, "sigma_zprime2": positive}
+    alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = (
+        float(rule(name, getattr(inp, name))) for name, rule in rules.items())
     S = math.sqrt(alpha_a * P_a) / L_s
-    if not sigma_zprime2 > 0:
-        raise ValueError("residual noise variance sigma_zprime2 must be positive")
     ev_noise = sigma_z2 + sigma_a2
     if not ev_noise > 0:
         raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
@@ -111,38 +108,19 @@ class SecrecySweep:
     L_s: float = 1.0
 
     def __post_init__(self) -> None:
-        grids = {
-            "alpha_grid": self.alpha_grid,
-            "power_db_grid": self.power_db_grid,
-            "delta_h_grid": self.delta_h_grid,
-            "sigma_A2_db_grid": self.sigma_A2_db_grid,
-        }
-        if not all(grids.values()):
+        if not all((self.alpha_grid, self.power_db_grid, self.delta_h_grid,
+                    self.sigma_A2_db_grid)):
             raise ValueError("empty sweep grid")
-        scalars = {name: (getattr(self, name),)
-                   for name in ("sigma_a2_db", "sigma_z2", "L_s")}
-        for name, values in {**grids, **scalars}.items():
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite, got {values}")
-        for name in ("power_db_grid", "sigma_A2_db_grid", "sigma_a2_db"):
-            if not np.all(np.asarray(getattr(self, name)) <= MAX_DB):
-                raise ValueError(
-                    f"{name} must be at most {MAX_DB} dB, whose linear power "
-                    f"is the largest finite float; got {getattr(self, name)}"
-                )
-        if not all(0 <= a <= 1 for a in self.alpha_grid):
-            raise ValueError(f"alpha_grid values must lie in [0, 1], got {self.alpha_grid}")
-        if self.L_s <= 0:
-            raise ValueError(f"L_s must be positive, got {self.L_s}")
+        rules = {"alpha_grid": unit_interval, "power_db_grid": decibels,
+                 "delta_h_grid": nonnegative, "sigma_A2_db_grid": decibels,
+                 "sigma_a2_db": decibels, "sigma_z2": nonnegative, "L_s": positive}
+        for name, rule in rules.items():
+            rule(name, getattr(self, name))
         # S grows with alpha and power, so the largest S is at their maxima
         if not math.isfinite(self.signal_factor(max(self.alpha_grid),
                                                 max(self.power_db_grid))):
             raise ValueError(f"signal factor S = sqrt(alpha P) / L_s overflows at "
                              f"L_s = {self.L_s}")
-        if self.sigma_z2 < 0:
-            raise ValueError(f"sigma_z2 must be nonnegative, got {self.sigma_z2}")
-        if any(dh < 0 for dh in self.delta_h_grid):
-            raise ValueError(f"delta_h_grid values must be nonnegative, got {self.delta_h_grid}")
         if any(self.residual_noise(s) <= 0 for s in self.sigma_A2_db_grid):
             raise ValueError("residual noise variance sigma_zprime2 must be positive")
         if self.eavesdropper_noise() <= 0:
@@ -255,15 +233,6 @@ def _log2_cancels(noise: float) -> bool:
     return not (np.any(run) or np.any(np.signbit(run)))
 
 
-def _check_count(name: str, value, low: int) -> int:
-    """`value` as an int, if it is an integer (not a bool) of at least `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-    return int(value)
-
-
 def monte_carlo_secrecy(
     sweep: SecrecySweep, n_samples: int, seed: int
 ) -> list[SweepResult]:
@@ -299,8 +268,8 @@ def monte_carlo_secrecy(
     block sums are stored by block index and added in tree order, so every
     worker count gives the same bits.  With one usable CPU no thread starts.
     """
-    n_samples = _check_count("n_samples", n_samples, 1)
-    rng = np.random.default_rng(_check_count("seed", seed, 0))
+    n_samples = count("n_samples", n_samples)
+    rng = np.random.default_rng(count("seed", seed, 0))
     ev_noise = sweep.eavesdropper_noise()
     log2_ev_noise = np.log2(ev_noise)
     delta_hs = list(dict.fromkeys(sweep.delta_h_grid))

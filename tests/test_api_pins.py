@@ -144,3 +144,41 @@ def test_import_loads_no_process_pools():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# overflow checks of computed values (alignment constant, received powers,
+# signal factor, training loss), which no input rule covers: the only lines
+# outside airfl/_checks.py that may test finiteness
+OVERFLOW_CHECKS = {
+    ("fl_core.py", "if not math.isfinite(loss):"),
+    ("pcran.py", "if not math.isfinite(m):"),
+    ("secrecy.py", "if not (math.isfinite(rx_s) and math.isfinite(rx_ev)):"),
+    ("secrecy.py", "if not math.isfinite(self.signal_factor(max(self.alpha_grid),"),
+    ("secrecy.py", "if math.isfinite(top_S * top_h2 + top_noise):"),
+    ("secrecy.py", "if not math.isfinite(top_S * top_h2 + top_noise):"),
+}
+
+
+def test_input_rules_are_defined_once():
+    # finiteness, the dB limit and the integer-count rule are written once, in
+    # airfl/_checks.py; the copies they replaced had drifted apart
+    finiteness = set()
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        if path.name == "_checks.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if "isfinite" in line:
+                assert (path.name, line.strip()) in OVERFLOW_CHECKS, f"{path.name}:{lineno}"
+                finiteness.add((path.name, line.strip()))
+        for node in ast.walk(ast.parse(source)):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Compare):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                assert "MAX_DB" not in names, f"{where} compares with MAX_DB"
+            assert not (isinstance(node, ast.Attribute) and node.attr == "integer"), (
+                f"{where} tests for numpy integers")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                types = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                assert not types & {"int", "bool"}, f"{where} checks for an integer"
+    assert finiteness == OVERFLOW_CHECKS

@@ -33,7 +33,7 @@ class TestSampleChannel:
         assert np.array_equal(a, b)
 
     def test_empty_system_rejected(self):
-        with pytest.raises(ValueError, match="empty system"):
+        with pytest.raises(ValueError, match="K must be at least 1, got 0"):
             sample_channel(ChannelConfig(), 0, rng())
 
     def test_fixed_gains_length_mismatch(self):
@@ -44,13 +44,13 @@ class TestSampleChannel:
 
 class TestConfigValidation:
     def test_negative_sigma_z2_rejected(self):
-        with pytest.raises(ValueError, match="sigma_z2 must be nonnegative"):
+        with pytest.raises(ValueError, match="sigma_z2 must be a finite nonnegative value"):
             ChannelConfig(sigma_z2=-0.1)
 
     @pytest.mark.parametrize("field", ["sigma_z2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite nonnegative value"):
             ChannelConfig(**{field: value})
 
     def test_non_finite_fixed_gain_rejected(self):

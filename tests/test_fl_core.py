@@ -295,7 +295,7 @@ class TestTrainOverAir:
     @pytest.mark.parametrize("power", [-1.0, 0.0, np.nan, np.inf])
     def test_non_positive_power_rejected(self, power):
         # power=-1 once failed in training as "degenerate channel: zero gain"
-        with pytest.raises(ValueError, match="power must be finite and positive"):
+        with pytest.raises(ValueError, match="power must be a finite positive value"):
             TrainSettings(T=3, power=power)
 
 

@@ -118,7 +118,7 @@ class TestComputeAlignment:
     @pytest.mark.parametrize("P", [[1.0, -1.0], [0.0, 1.0]])
     def test_non_positive_power_named(self, P):
         # was reported as a zero channel gain
-        with pytest.raises(ValueError, match="transmit power P must be positive"):
+        with pytest.raises(ValueError, match="^P must be a finite positive value"):
             compute_alignment(np.ones(2), np.array(P), 1.0)
 
     def test_overflowing_alignment_constant_rejected(self):
@@ -127,7 +127,7 @@ class TestComputeAlignment:
             compute_alignment(np.ones(2), np.ones(2), 1e-320)
 
     def test_negative_gain_named(self):
-        with pytest.raises(ValueError, match="channel gain h2 must be nonnegative"):
+        with pytest.raises(ValueError, match="^h2 must be a finite nonnegative value"):
             compute_alignment(np.array([-1.0, 1.0]), np.ones(2), 1.0)
 
 
@@ -262,7 +262,9 @@ class TestAggregateNoiseStats:
     (1.0, 1.0, 0.0),
 ])
 def test_pair_secret_rejects_non_finite_or_negative(mu, sp, sn):
-    with pytest.raises(ValueError, match="finite mean and finite positive variances"):
+    match = ("mu must be a finite value" if mu != 1.0 else
+             f"sigma2_{'pos' if sp != 1.0 else 'neg'} must be a finite positive value")
+    with pytest.raises(ValueError, match=match):
         PairSecret(mu=mu, sigma2_pos=sp, sigma2_neg=sn)
 
 

@@ -84,14 +84,17 @@ class TestSecrecyPoint:
 
     @pytest.mark.parametrize("kw", [{"L_s": 0.0}, {"L_s": -1.0}, {"alpha_a": -0.5}])
     def test_out_of_domain_signal_factor_rejected(self, kw):
-        with pytest.raises(ValueError, match="L_s > 0 and alpha_a P_a >= 0"):
+        (name,) = kw
+        rule = {"L_s": "a finite positive value", "alpha_a": r"a finite value in \[0, 1\]"}
+        with pytest.raises(ValueError, match=f"{name} must be {rule[name]}"):
             point(**kw)
 
     @pytest.mark.parametrize("kw", [{"h2_a": -5.0}, {"h2_ev": -0.5}])
     def test_negative_gain_rejected(self, kw):
         # h2_a = -5 once gave c = nan after numpy's "invalid value" warning,
         # and h2_ev = -0.5 silently gave snr_ev = -0.25
-        with pytest.raises(ValueError, match="gains h2_a and h2_ev must be nonnegative"):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be a finite nonnegative value"):
             point(**kw)
 
     @pytest.mark.parametrize("name", ["h2_a", "sigma_zprime2", "h2_ev", "alpha_a"])
@@ -226,7 +229,7 @@ class TestSweepValidation:
         # 10^400 once overflowed to inf after a numpy warning (an error under
         # the suite's warning filter) and gave NaN means
         (name,) = kw
-        with pytest.raises(ValueError, match=f"{name} must be at most"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite value at most"):
             base_sweep(**kw)
 
     @pytest.mark.parametrize("kw", [
@@ -242,7 +245,7 @@ class TestSweepValidation:
     def test_largest_finite_db_allowed(self):
         assert np.isfinite(db_to_linear(MAX_DB))
         base_sweep(power_db_grid=(MAX_DB,), sigma_A2_db_grid=(MAX_DB,), sigma_a2_db=MAX_DB)
-        with pytest.raises(ValueError, match="power_db_grid must be at most"):
+        with pytest.raises(ValueError, match="power_db_grid must be a finite value at most"):
             base_sweep(power_db_grid=(float(np.nextafter(MAX_DB, np.inf)),))
 
     def test_overflowing_received_power_rejected(self):
