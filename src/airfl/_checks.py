@@ -2,10 +2,13 @@
 
 Each predicate takes a field name and a value, returns the value and raises a
 ValueError that names the field if the value breaks the rule.  The real-valued
-rules take a number or an array of numbers and must hold in every entry; a
-bool, a string or None is not a number.
+rules take a number, or an array of at most `ndim` dimensions where the caller
+allows one, and must hold in every entry; a bool, a string, None or a list
+given for a number is not a number.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,12 +21,18 @@ MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 def _real(requirement: str, in_range):
-    def check(name: str, value):
-        try:  # a Python int may exceed numpy's integers, and a huge one a float
-            x = np.asarray(float(value) if type(value) is int else value)
-        except OverflowError:
-            x = np.asarray(np.inf)
-        if x.dtype.kind not in "iuf" or not (np.isfinite(x) & in_range(x)).all():
+    def check(name: str, value, ndim: int = 0):
+        try:
+            if type(value) in (float, int):  # the common case, without numpy
+                x = float(value)  # an int may exceed numpy's integers
+                ok = math.isfinite(x) and in_range(x)
+            else:
+                x = np.asarray(value)
+                ok = (x.ndim <= ndim and x.dtype.kind in "iuf"
+                      and (np.isfinite(x) & in_range(x)).all())
+        except (OverflowError, ValueError):  # a huge int, a ragged nesting
+            ok = False
+        if not ok:
             raise ValueError(f"{name} must be {requirement}, got {value!r}")
         return value
     return check

@@ -82,7 +82,7 @@ def plan_link(
     users = sorted(u for pair in pairing.pairs for u in pair)
     if users != list(range(K)):
         raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
-    unit_interval("alpha", alloc.alpha)
+    unit_interval("alpha", alloc.alpha, ndim=1)
     positive("L_s", alloc.L_s)
     stats = aggregate_noise_stats(pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
     gains = noise_gains(h2, alloc.P, alloc.beta)
@@ -122,8 +122,6 @@ def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarra
     between calls, so a block of R rounds reads what R one-round blocks do.
     """
     K = len(plan.sig_amp)
-    count("rounds", rounds)
-    count("d", d)
     z = rng.standard_normal((rounds, len(plan.scale), d))
     z *= plan.scale
     z += plan.loc

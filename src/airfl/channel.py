@@ -39,7 +39,7 @@ class ChannelConfig:
         if self.fading_mode == "fixed":
             if self.fixed_gains is None:
                 raise ValueError("fixed fading mode requires fixed_gains")
-            nonnegative("fixed_gains", self.fixed_gains)
+            nonnegative("fixed_gains", self.fixed_gains, ndim=1)
 
 
 def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:

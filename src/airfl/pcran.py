@@ -138,13 +138,13 @@ def compute_alignment(
     "alpha_k = 0.5" operating point on equal-gain channels).  An m that
     overflows (L_s far below the signal amplitude) is rejected.
     """
-    h2 = np.asarray(nonnegative("h2", h2), dtype=float)
-    P = np.asarray(positive("P", P), dtype=float)
+    h2 = np.asarray(nonnegative("h2", h2, ndim=1), dtype=float)
+    P = np.asarray(positive("P", P, ndim=1), dtype=float)
     positive("L_s", L_s)
     if not unit_interval("alpha_cap", alpha_cap) > 0:
         raise ValueError("alpha_cap must lie in (0, 1]")
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
-        eff = finite("h2 * P", h2 * P)
+        eff = finite("h2 * P", h2 * P, ndim=1)
     if np.any(eff == 0):
         raise ValueError("degenerate channel: zero gain makes channel inversion impossible")
     worst = float(eff.min())  # first index wins on ties via min
@@ -176,20 +176,20 @@ def optimize_beta_dp(
     Psi <= 0 means the privacy demand is already met by channel noise and no
     artificial noise is allocated.
     """
-    h2 = np.asarray(positive("h2", h2), dtype=float)
-    P = np.asarray(positive("P", P), dtype=float)
-    eps = np.asarray(positive("eps", eps), dtype=float)
-    caps = np.asarray(nonnegative("caps", caps), dtype=float)
-    alpha = np.zeros(h2.shape) if alpha is None else unit_interval("alpha", alpha)
+    h2 = np.asarray(positive("h2", h2, ndim=1), dtype=float)
+    P = np.asarray(positive("P", P, ndim=1), dtype=float)
+    eps = np.asarray(positive("eps", eps, ndim=1), dtype=float)
+    caps = np.asarray(nonnegative("caps", caps, ndim=1), dtype=float)
+    alpha = np.zeros(h2.shape) if alpha is None else unit_interval("alpha", alpha, ndim=1)
     shapes = [np.shape(v) for v in (h2, P, eps, caps, alpha)]
     if h2.ndim != 1 or len(set(shapes)) != 1:
         raise ValueError(f"h2, P, eps, caps and alpha need one entry per user, got "
                          f"shapes {shapes}")
-    if not 0 < delta < 1:
+    if not 0 < unit_interval("delta", delta) < 1:
         raise ValueError("delta must lie in (0, 1)")
     nonnegative("sigma_z2", sigma_z2)
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
-        eff = positive("h2 * P", h2 * P)
+        eff = positive("h2 * P", h2 * P, ndim=1)
 
     worst = float(eff.min())
     psi = float(np.max(worst / eps) * np.log(1.25 / delta) - sigma_z2)
@@ -234,8 +234,9 @@ def aggregate_noise_stats(
     """
     if len(secrets) != len(pairing.pairs):
         raise ValueError("need one secret per pair")
-    for name, value in (("h2", h2), ("P", P), ("beta", beta), ("sigma_z2", sigma_z2)):
-        nonnegative(name, value)
+    for name, value in (("h2", h2), ("P", P), ("beta", beta)):
+        nonnegative(name, value, ndim=1)
+    nonnegative("sigma_z2", sigma_z2)
     positive("alignment constant m", m)
     K = pairing.num_users
     c = equalized_gain(noise_gains(h2, P, beta))

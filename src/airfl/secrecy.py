@@ -115,7 +115,7 @@ class SecrecySweep:
                  "delta_h_grid": nonnegative, "sigma_A2_db_grid": decibels,
                  "sigma_a2_db": decibels, "sigma_z2": nonnegative, "L_s": positive}
         for name, rule in rules.items():
-            rule(name, getattr(self, name))
+            rule(name, getattr(self, name), ndim=1 if name.endswith("_grid") else 0)
         # S grows with alpha and power, so the largest S is at their maxima
         if not math.isfinite(self.signal_factor(max(self.alpha_grid),
                                                 max(self.power_db_grid))):

@@ -3,7 +3,8 @@
 Each parameter, given a value that its rule forbids, must raise a ValueError
 that names it; the config layer raises ConfigError, a ValueError.  The rules
 are the predicates of airfl._checks.  A per-user array gets the bad value in
-its second entry, or in every entry when the value is a bool.
+its second entry, or in every entry when the value is a bool; a number or a
+grid entry is also given a list.
 """
 import math
 from dataclasses import replace
@@ -29,7 +30,6 @@ from airfl import (
     convergence_bound,
     db_to_linear,
     draw_link,
-    draw_noise,
     draw_pcran,
     draw_secrets,
     form_pairs,
@@ -57,13 +57,18 @@ BAD = {
     # as 1; plan_link and compute_alignment check L_s with the predicate
     "per_round": [math.nan, math.inf, -math.inf, -1.0, 0.0],
 }
+# a value each rule accepts, given inside a list where a number is expected
+GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
+        "unit_interval": 0.5, "count": 2}
 # exported names with no numeric parameter of their own: records that the
-# entry points below check or return, and functions of data arrays
+# entry points below check or return, and functions of data arrays; and
+# draw_noise, which runs once per noise block of a training run and takes
+# its counts from checked settings, so it checks nothing
 EXEMPT = {
     "BetaAllocation", "LinkPlan", "NoiseStats", "SecrecyPoint", "SweepResult",
     "TrainState", "SyntheticTask", "Pairing", "PowerAllocation", "BoundInputs",
     "SecrecyInputs", "all_local_gradients", "global_loss", "optimal_model",
-    "simulate_round",
+    "simulate_round", "draw_noise",
 }
 
 
@@ -160,8 +165,6 @@ TABLE = [
      {"h2": "nonnegative", "sigma_z2": "nonnegative", "P": "nonnegative",
       "alpha": "unit_interval", "beta": "nonnegative", "m": "positive", "L_s": "positive"},
      ("h2", "P", "alpha", "beta"), ()),
-    ("draw_noise", lambda rounds=2, d=3: draw_noise(PLAN, rounds, d, rng()),
-     {"rounds": "count", "d": "count"}, (), ()),
     ("simulate_aggregation_rounds", lambda n_rounds=2, sigma_z2=1.0:
         simulate_aggregation_rounds(np.zeros((2, 1)), H2, ALLOC, PAIRING, SECRETS,
                                     sigma_z2, n_rounds, rng()),
@@ -217,7 +220,10 @@ NAMED = {("config-fig3", "alpha_grid"): "alpha", ("aggregate_noise_stats", "m"):
 def cases():
     for entry, call, rules, arrays, grids in TABLE:
         for name, rule in rules.items():
-            for value in BAD[rule]:
+            # a list, even of one good value or of none, is not a number, and
+            # a grid entry is a number
+            lists = [] if name in arrays or rule == "per_round" else [[GOOD[rule]], []]
+            for value in BAD[rule] + lists:
                 yield pytest.param(entry, call, name, value, arrays, grids,
                                    id=f"{entry}-{name}-{value!r}")
 
@@ -235,9 +241,9 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
 
 
 @pytest.mark.parametrize("call, match", [
-    # inputs the table does not build: a negative h2 and P whose product is
-    # positive, a wrong-length alpha (numpy's broadcast error) and products
-    # that overflow (numpy's overflow warning came first)
+    # inputs the tables do not build: a negative h2 and P whose product is
+    # positive, a wrong-length alpha (numpy's broadcast error), products that
+    # overflow (numpy's overflow warning came first) and a ragged list
     (lambda: beta_dp(h2=np.array([-1.0, -2.0]), P=np.array([-100.0, -100.0])),
      "h2 must be a finite positive value"),
     (lambda: beta_dp(alpha=np.zeros(3)), "and alpha need one entry per user"),
@@ -245,7 +251,10 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
      r"h2 \* P must be a finite value"),
     (lambda: beta_dp(h2=np.array([1e200, 1.0]), P=np.array([1e200, 1.0])),
      r"h2 \* P must be a finite positive value"),
-], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow"])
+    # numpy raises its own ValueError on a ragged nesting, which named nothing
+    (lambda: config("train")(beta=[[0.5], [0.5, 0.5]]), r"^beta must be a finite value"),
+], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
+        "ragged-list"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
