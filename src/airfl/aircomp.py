@@ -111,20 +111,35 @@ def plan_link(
     )
 
 
+# doubles of received noise drawn at once (128 KB)
+_NOISE_BLOCK = 1 << 14
+
+
+def _gaussian(rng: Generator, loc, scale, out: np.ndarray) -> np.ndarray:
+    """Fill out with N(loc, scale^2) draws and return it.
+
+    Generator.normal(loc, scale) reads the same standard normals n and
+    computes loc + scale * n; scaling and shifting in place gives the same
+    bits, without a fresh array per call.  loc = 0.0 is still added, because
+    it turns scale * n = -0.0 into +0.0 as normal does.
+    """
+    rng.standard_normal(out=out)
+    out *= scale
+    out += loc
+    return out
+
+
 def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarray:
     """Received noise of a block of rounds, shape (rounds, K + 1, d).
 
     Row 0 of a round is the receiver noise (zeros when sigma_z2 = 0), row
     1 + k user k's PCR-AN as received, noise_amp_k * equalize_k * n_k.  One
-    standard-normal call reads each round's users in index order, then its
-    receiver row, and the block is shifted and scaled in place the way
-    Generator.normal computes loc + scale * n; standard_normal keeps no state
-    between calls, so a block of R rounds reads what R one-round blocks do.
+    Gaussian fill reads each round's users in index order, then its receiver
+    row; standard_normal keeps no state between calls, so a block of R rounds
+    reads what R one-round blocks do.
     """
     K = len(plan.sig_amp)
-    z = rng.standard_normal((rounds, len(plan.scale), d))
-    z *= plan.scale
-    z += plan.loc
+    z = _gaussian(rng, plan.loc, plan.scale, np.empty((rounds, len(plan.scale), d)))
     slab = np.empty((rounds, K + 1, d))
     slab[:, 0] = z[:, K] if plan.sigma_z2 > 0 else 0.0
     noise = slab[:, 1:]
@@ -166,8 +181,11 @@ def simulate_aggregation_rounds(
 
     Returns the (n_rounds, d) array of mean-gradient estimates.  Same model
     as :func:`simulate_round`, batched over rounds for desk-scale sample
-    counts; each user's noise is drawn over the rounds axis in turn, so
-    memory stays at two (n_rounds, d) arrays whatever K is.
+    counts.  Each user's noise, then the receiver's, is drawn over the rounds
+    axis in turn, a block of at most _NOISE_BLOCK doubles at a time into one
+    reused buffer, so memory stays at one (n_rounds, d) array plus one block
+    whatever K is; the stream and the sums are those of one whole-array
+    Generator.normal per user.
     """
     count("n_rounds", n_rounds)
     plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
@@ -175,13 +193,16 @@ def simulate_aggregation_rounds(
     signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)
     c = equalized_gain(plan.gains)
     # receiver sees c * n_k per user; draw the scaled noise directly
-    loc, scale = c * plan.loc[:K, 0], c * plan.scale[:K, 0]
+    laws = [(c * plan.loc[k, 0], c * plan.scale[k, 0]) for k in range(K) if plan.gains[k] > 0]
+    if sigma_z2 > 0:
+        laws.append((0.0, np.sqrt(sigma_z2)))
 
     received = np.tile(signal, (n_rounds, 1))
-    for k in range(K):
-        if plan.gains[k] == 0:
-            continue
-        received += rng.normal(loc[k], scale[k], size=(n_rounds, d))
-    if sigma_z2 > 0:
-        received += rng.normal(0.0, np.sqrt(sigma_z2), size=(n_rounds, d))
-    return received / (alloc.m * K)
+    rows = max(1, _NOISE_BLOCK // d)
+    buf = np.empty((min(rows, n_rounds), d))
+    for loc, scale in laws:
+        for start in range(0, n_rounds, rows):
+            block = received[start:start + rows]
+            block += _gaussian(rng, loc, scale, buf[:len(block)])
+    received /= alloc.m * K
+    return received

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import Generator
 
 from ._checks import count, finite, nonnegative, positive, unit_interval
-from .aircomp import clip_gradient, draw_noise, plan_link, simulate_round
+from .aircomp import _NOISE_BLOCK, clip_gradient, draw_noise, plan_link, simulate_round
 from .channel import ChannelConfig, sample_channel
 from .pcran import (
     Pairing,
@@ -27,8 +27,6 @@ from .pcran import (
 )
 
 DIVERGENCE_FACTOR = 1e6
-# doubles of received noise drawn at once (128 KB)
-_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -43,6 +41,13 @@ class SyntheticTask:
     V: np.ndarray
     reg_lambda: float
     mu: float
+
+    def __post_init__(self) -> None:
+        positive("reg_lambda", self.reg_lambda)  # strong convexity
+        positive("mu", self.mu)
+        if np.ndim(self.U) != 3 or np.shape(self.V) != np.shape(self.U)[:2]:
+            raise ValueError(f"V must have shape U.shape[:2] for U of shape (K, n, d), "
+                             f"got U {np.shape(self.U)} and V {np.shape(self.V)}")
 
     @property
     def K(self) -> int:
@@ -89,13 +94,14 @@ def make_task(
 ) -> SyntheticTask:
     """Generate a synthetic ridge task with a known planted model."""
     K, n_per_user, d = count("K", K), count("n_per_user", n_per_user), count("d", d)
-    positive("reg_lambda", reg_lambda)  # strong convexity
     U = rng.normal(0.0, 1.0 / np.sqrt(d), size=(K, n_per_user, d))
     w_true = rng.normal(0.0, 1.0, size=d)
     V = U @ w_true + rng.normal(0.0, 1.0, size=(K, n_per_user))
     flat = U.reshape(-1, d)
     cov = flat.T @ flat / flat.shape[0]
-    mu = float(np.linalg.eigvalsh(cov)[-1] + reg_lambda)
+    # a numpy float adds a list or a bool too, so the task's check of
+    # reg_lambda, which runs before its check of mu, names such a value
+    mu = np.linalg.eigvalsh(cov)[-1] + reg_lambda
     return SyntheticTask(U=U, V=V, reg_lambda=reg_lambda, mu=mu)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from airfl.aircomp import (
+    _NOISE_BLOCK,
+    _gaussian,
     clip_gradient,
     draw_noise,
     plan_link,
@@ -192,6 +194,59 @@ class TestDrawNoise:
         z = rng().standard_normal((2, 2, 3))
         law = (z * np.sqrt([[0.5], [3.0]]) + [[2.0], [-2.0]]) * plan.equalize[:, None]
         assert np.array_equal(block[:, 1:], law * plan.noise_amp[:, None])
+
+
+def bits(x):
+    """Bit patterns of a float array, so that -0.0 and +0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_gaussian_fill_is_generator_normal():
+    # scalar and per-row laws, and loc = 0.0 with scale 0, where only the
+    # added loc turns scale * n = -0.0 into the +0.0 that normal returns
+    row_loc, row_scale = np.array([[2.0], [0.0], [-1.5]]), np.array([[0.5], [0.0], [3.0]])
+    for loc, scale, shape in ((0.7, 1.3, (4, 5)), (0.0, 1.0, (4, 5)), (0.0, 0.0, (4, 5)),
+                              (row_loc, row_scale, (2, 3, 4))):
+        gen_fill, gen_normal = rng(8), rng(8)
+        fill = _gaussian(gen_fill, loc, scale, np.empty(shape))
+        assert np.array_equal(bits(fill), bits(gen_normal.normal(loc, scale, size=shape)))
+        assert gen_fill.bit_generator.state == gen_normal.bit_generator.state
+
+
+def reference_aggregation_rounds(gradients, plan, n_rounds, gen):
+    """Monte Carlo rounds with one whole-array Generator.normal per user with
+    a noise gain, then one for the receiver, summed from the signal on."""
+    K, d = gradients.shape
+    c = equalized_gain(plan.gains)
+    received = np.tile(plan.sig_amp @ clip_gradient(gradients, plan.L_s), (n_rounds, 1))
+    for k in range(K):
+        if plan.gains[k] > 0:
+            received += gen.normal(c * plan.loc[k, 0], c * plan.scale[k, 0], size=(n_rounds, d))
+    if plan.sigma_z2 > 0:
+        received += gen.normal(0.0, np.sqrt(plan.sigma_z2), size=(n_rounds, d))
+    return received / (plan.m * K)
+
+
+class TestAggregationRoundsExact:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "B-1", "B", "B+1", "3B+5"])
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    @pytest.mark.parametrize("muted", [False, True])
+    def test_matches_whole_array_draws(self, d, blocks, sigma_z2, muted):
+        # n_rounds on either side of the boundaries of blocks of B rounds;
+        # muted gives one user zero noise gain, so it draws nothing and the
+        # others draw N(0, 0)
+        n_rounds = blocks[0] * (_NOISE_BLOCK // d) + blocks[1]
+        h2, alloc, pairing, secrets, grads = random_link(4, d, False, 40 + d, muted)
+        plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
+        gen_blocks, gen_ref = rng(12), rng(12)
+        est = simulate_aggregation_rounds(grads, h2, alloc, pairing, secrets, sigma_z2,
+                                          n_rounds, gen_blocks)
+        ref = reference_aggregation_rounds(grads, plan, n_rounds, gen_ref)
+        assert est.shape == (n_rounds, d)
+        assert np.array_equal(bits(est), bits(ref))
+        assert gen_blocks.bit_generator.state == gen_ref.bit_generator.state
 
 
 class TestBuildTransmit:

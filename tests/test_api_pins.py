@@ -146,6 +146,31 @@ def test_import_loads_no_process_pools():
     assert out.strip() == "[]"
 
 
+def test_gaussian_draws_share_one_helper_and_block():
+    # training noise and the noise-check Monte Carlo draw every Gaussian
+    # through aircomp._gaussian, in blocks of the one aircomp._NOISE_BLOCK
+    def mentions(node, name):
+        return sum(getattr(n, "attr", None) == name or getattr(n, "id", None) == name
+                   for n in ast.walk(node))
+
+    draws, blocks, imports = {}, [], []
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if mentions(tree, "standard_normal"):
+            draws[path.stem] = mentions(tree, "standard_normal")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and mentions(node, "standard_normal"):
+                draws[f"{path.stem}.{node.name}"] = mentions(node, "standard_normal")
+            if isinstance(node, ast.Assign) and any(mentions(target, "_NOISE_BLOCK")
+                                                    for target in node.targets):
+                blocks.append(path.stem)
+            if isinstance(node, ast.ImportFrom) and "_NOISE_BLOCK" in [a.name for a in node.names]:
+                imports.append((path.stem, node.module))
+    assert draws == {"aircomp": 1, "aircomp._gaussian": 1}
+    assert blocks == ["aircomp"]
+    assert imports == [("fl_core", "aircomp")]
+
+
 # overflow checks of computed values (alignment constant, received powers,
 # signal factor, training loss), which no input rule covers: the only lines
 # outside airfl/_checks.py that may test finiteness

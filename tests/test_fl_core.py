@@ -207,13 +207,23 @@ class TestTrainOverAir:
         chan = ChannelConfig(sigma_z2=sigma_z2)
         gen_ref = rng(13)
         w, losses, gaps = reference_train(task, chan, settings, gen_ref, varied_secrets)
+        blocks = []
+
+        def recorded(plan, rounds, d, gen):
+            blocks.append(rounds)
+            return draw_noise(plan, rounds, d, gen)
+
+        monkeypatch.setattr(fl_core, "draw_noise", recorded)
         # the module's block holds all 40 rounds; blocks of 7 rounds end on a
-        # short block of 5; blocks of 1 round draw round by round
-        for block_rounds in (None, 7, 1):
+        # short block of 5; blocks of 1 round draw round by round.  fl_core
+        # imports _NOISE_BLOCK from aircomp, and train_over_air reads fl_core's
+        for block_rounds, sizes in ((None, [40]), (7, [7] * 5 + [5]), (1, [1] * 40)):
             if block_rounds is not None:
                 monkeypatch.setattr(fl_core, "_NOISE_BLOCK", block_rounds * (K + 1) * task.d)
+            blocks.clear()
             gen_train = rng(13)
             state, _ = train_over_air(task, chan, settings, gen_train)
+            assert blocks == sizes
             assert np.array_equal(state.loss_history, losses)
             assert np.array_equal(state.gap_history, gaps)
             assert np.array_equal(state.w, w)
@@ -323,6 +333,21 @@ def test_make_task_validation():
     for K, n, d in ((0, 5, 3), (2, 0, 3), (2, 5, 0)):
         with pytest.raises(ValueError, match="at least 1"):
             make_task(K, n, d, 0.1, rng())
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan])
+def test_hand_built_task_is_checked(lam):
+    # such a task once trained with steps 1/(lam t) < 0 to a rising loss, or
+    # failed as a divergence at iteration 1, without naming reg_lambda
+    with pytest.raises(ValueError, match="reg_lambda must be a finite positive value"):
+        replace(small_task(), reg_lambda=lam)
+
+
+def test_hand_built_task_needs_one_label_per_point():
+    task = small_task()
+    for U, V in ((task.U, task.V[:, 1:]), (task.U, task.V.T), (task.U[0], task.V)):
+        with pytest.raises(ValueError, match=r"V must have shape U.shape\[:2\]"):
+            replace(task, U=U, V=V)
 
 
 def test_training_api_parameters_are_pinned():

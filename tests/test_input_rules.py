@@ -66,7 +66,7 @@ GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
 # its counts from checked settings, so it checks nothing
 EXEMPT = {
     "BetaAllocation", "LinkPlan", "NoiseStats", "SecrecyPoint", "SweepResult",
-    "TrainState", "SyntheticTask", "Pairing", "PowerAllocation", "BoundInputs",
+    "TrainState", "Pairing", "PowerAllocation", "BoundInputs",
     "SecrecyInputs", "all_local_gradients", "global_loss", "optimal_model",
     "simulate_round", "draw_noise",
 }
@@ -172,6 +172,8 @@ TABLE = [
     ("make_task", lambda K=2, n_per_user=3, d=2, reg_lambda=0.1:
         make_task(K, n_per_user, d, reg_lambda, rng()),
      {"K": "count", "n_per_user": "count", "d": "count", "reg_lambda": "positive"}, (), ()),
+    ("SyntheticTask", lambda reg_lambda=0.1, mu=1.0: replace(TASK, reg_lambda=reg_lambda, mu=mu),
+     {"reg_lambda": "positive", "mu": "positive"}, (), ()),
     ("convergence_bound", bound,
      {"mu": "positive", "lam": "positive", "T": "count", "L_s": "positive", "d": "count",
       "m": "positive", "K": "count", "noise_power_sum": "nonnegative",

@@ -87,10 +87,12 @@ CONFIGS = {
         n_seeds=st.integers(1, 2),
     ),
     "train": _training("train", users=_users, alpha=_frac, beta=_beta),
+    # past aircomp._NOISE_BLOCK (16384 rounds at d = 1) the draw runs in
+    # several blocks
     "noise-check": st.fixed_dictionaries({
         "experiment": st.just("noise-check"),
         "seed": _seed,
-        "samples": st.integers(1, 2000),
+        "samples": st.one_of(st.integers(1, 2000), st.integers(16_385, 40_000)),
         "users": st.sampled_from([2, 4, 20]),
         "alpha": _frac,
         "beta": _beta,
