@@ -60,13 +60,15 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
 
 def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
     """Draw n i.i.d. Rayleigh server-link power gains (Monte Carlo helper)."""
-    (h2,) = gain_blocks(config, n, rng, [slice(0, n)])
+    if config.fading_mode != "rayleigh":
+        raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
+                         f"{config.fading_mode!r}")
+    (h2,) = gain_blocks(n, rng, [slice(0, n)])
     return h2
 
 
-def gain_blocks(config: ChannelConfig, n: int, rng: Generator,
-                blocks: list[slice]) -> Iterator[np.ndarray]:
-    """Draw the gains of sample_gains(config, n, rng) block by block.
+def gain_blocks(n: int, rng: Generator, blocks: list[slice]) -> Iterator[np.ndarray]:
+    """Draw sample_gains' n Rayleigh gains block by block, with no config.
 
     `blocks` must tile range(n) left to right.  All n real parts are drawn
     and squared first; then, per block, its imaginary parts are drawn,
@@ -75,9 +77,6 @@ def gain_blocks(config: ChannelConfig, n: int, rng: Generator,
     one call, so the gains and the generator's final state are those of
     sample_gains, and a consumer can start on a block while the next is drawn.
     """
-    if config.fading_mode != "rayleigh":
-        raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
-                         f"{config.fading_mode!r}")
     count("n", n)
     stops = [0] + [block.stop for block in blocks]
     if [(b.start, b.step) for b in blocks] != [(a, None) for a in stops[:-1]] or stops[-1] != n:

@@ -1,7 +1,9 @@
-"""Experiment orchestration: config ingestion, sweep runners, CSV output.
+"""Experiment orchestration: config ingestion, one schema per experiment, CSV output.
 
-Each experiment is a pure function of (config, seed): reruns with the same
-config emit byte-identical CSV files.
+Each experiment is defined once, as a frozen schema class: its fields are the
+experiment's config keys, checked on construction, and its `run()` returns the
+CSV header and rows.  A run is a pure function of (config, seed): reruns with
+the same config emit byte-identical CSV files.
 """
 from __future__ import annotations
 
@@ -141,12 +143,32 @@ class _Config:
 
 @dataclass(frozen=True)
 class _Secrecy(_Config):
-    """The secrecy sweeps; artificial-noise power 25 dB."""
+    """The secrecy sweeps; artificial-noise power 25 dB.
+
+    `columns` maps each CSV header to the SweepResult field it holds.
+    """
+
+    columns: ClassVar[dict[str, str]]
 
     samples: int = 100_000
     sigma_a2_db: float = 25.0
     sigma_A2_db_grid: tuple[float, ...] = (0.0,)
     delta_h_values: tuple[float, ...] = (0.0, 1.0)
+
+    def run(self) -> tuple[list[str], list[tuple]]:
+        """Mean secrecy capacity at every point of the schema's four grids."""
+        sweep = SecrecySweep(
+            alpha_grid=self.alpha_grid,
+            power_db_grid=self.powers_db,
+            delta_h_grid=self.delta_h_values,
+            sigma_A2_db_grid=self.sigma_A2_db_grid,
+            sigma_a2_db=self.sigma_a2_db,
+            sigma_z2=self.sigma_z2,
+            L_s=self.L_s,
+        )
+        results = monte_carlo_secrecy(sweep, self.samples, self.seed)
+        rows = [tuple(getattr(r, f) for f in self.columns.values()) for r in results]
+        return list(self.columns), rows
 
 
 @dataclass(frozen=True)
@@ -155,6 +177,8 @@ class Fig3Config(_Secrecy):
 
     experiment: ClassVar[str] = "fig3"
     one_entry: ClassVar[tuple[str, ...]] = ("sigma_A2_db_grid",)
+    columns: ClassVar[dict[str, str]] = {
+        "alpha": "alpha", "p_db": "power_db", "delta_h": "delta_h", "mean_c": "mean_c"}
 
     powers_db: tuple[float, ...] = (25.0, 30.0)
     alpha_grid: tuple[float, ...] = tuple(
@@ -168,11 +192,18 @@ class Fig4Config(_Secrecy):
 
     experiment: ClassVar[str] = "fig4"
     one_entry: ClassVar[tuple[str, ...]] = ("delta_h_values",)
+    columns: ClassVar[dict[str, str]] = {
+        "p_db": "power_db", "sigma_A2_db": "sigma_A2_db", "mean_c": "mean_c"}
 
     powers_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     sigma_A2_db_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     delta_h_values: tuple[float, ...] = (1.0,)
     alpha: float = 0.5
+
+    @property
+    def alpha_grid(self) -> tuple[float, ...]:
+        # a property, not a field: fig4 takes one `alpha`, never an alpha_grid key
+        return (self.alpha,)
 
 
 @dataclass(frozen=True)
@@ -186,6 +217,21 @@ class _Training(_Config):
     reg_lambda: float = 1e-3
     n_per_user: int = 20
 
+    def _train_once(self, K: int, alpha_cap: float, beta: float,
+                    seed_key: tuple[int, ...]):
+        task_rng = np.random.default_rng([self.seed, 17])
+        task = make_task(K, self.n_per_user, self.d, self.reg_lambda, task_rng)
+        settings = TrainSettings(
+            T=self.T,
+            L_s=self.L_s,
+            power=db_to_linear(self.powers_db[0]),
+            alpha_cap=alpha_cap,
+            beta=beta,
+        )
+        chan = ChannelConfig(sigma_z2=self.sigma_z2)
+        rng = np.random.default_rng(list(seed_key))
+        return train_over_air(task, chan, settings, rng)
+
 
 @dataclass(frozen=True)
 class Fig5Config(_Training):
@@ -197,6 +243,26 @@ class Fig5Config(_Training):
     splits: tuple[tuple[float, float], ...] = ((0.5, 0.5), (0.3, 0.7))
     n_seeds: int = 5
 
+    def run(self) -> tuple[list[str], list[tuple]]:
+        """Convergence bound and simulated loss vs iteration, users, and beta."""
+        rows = []
+        steps = np.arange(1, self.T + 1)
+        for K in self.k_grid:
+            for alpha_cap, beta in self.splits:
+                losses = np.zeros(self.T)
+                bound_terms = np.zeros(self.T)
+                for s in range(self.n_seeds):
+                    state, binp = self._train_once(
+                        K, alpha_cap, beta, (self.seed, K, int(beta * 100), s)
+                    )
+                    losses += np.asarray(state.loss_history)
+                    bound_terms += convergence_bound(replace(binp, T=1)) / steps
+                losses /= self.n_seeds
+                bound_terms /= self.n_seeds
+                rows += [(t + 1, K, beta, bound, loss) for t, (bound, loss)
+                         in enumerate(zip(bound_terms.tolist(), losses.tolist()))]
+        return ["t", "K", "beta", "bound", "simulated_loss"], rows
+
 
 @dataclass(frozen=True)
 class TrainConfig(_Training):
@@ -207,6 +273,12 @@ class TrainConfig(_Training):
     users: int = 2
     alpha: float = 0.5
     beta: float = 0.5
+
+    def run(self) -> tuple[list[str], list[tuple]]:
+        """Single federated training run over the simulated channel."""
+        state, _ = self._train_once(self.users, self.alpha, self.beta, (self.seed, 1))
+        rows = list(zip(range(1, self.T + 1), state.loss_history, state.gap_history))
+        return ["t", "loss", "gap"], rows
 
 
 @dataclass(frozen=True)
@@ -221,6 +293,35 @@ class NoiseCheckConfig(_Config):
     users: int = 2
     alpha: float = 0.5
     beta: float = 0.5
+
+    def run(self) -> tuple[list[str], list[tuple]]:
+        """Empirical cancellation check of the aggregated artificial noise."""
+        rng = np.random.default_rng([self.seed, 29])
+        K, n = self.users, self.samples
+        h2, alloc, pairing, secrets = draw_link(
+            ChannelConfig(sigma_z2=self.sigma_z2), K, db_to_linear(self.powers_db[0]),
+            self.L_s, self.alpha, self.beta, rng,
+        )
+        stats = aggregate_noise_stats(
+            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, self.sigma_z2
+        )
+        s_hat = simulate_aggregation_rounds(
+            np.zeros((K, 1)), h2, alloc, pairing, secrets, self.sigma_z2, n, rng,
+        )
+        noise = s_hat[:, 0]
+        mean = noise.mean()
+        # ndarray.var's arithmetic, in place of its n-sized temporary
+        noise -= mean
+        np.multiply(noise, noise, out=noise)
+        rows = [
+            ("empirical_mean", float(mean)),
+            ("mean_stderr", float(np.sqrt(stats.estimator_var / n))),
+            ("empirical_var", float(np.add.reduce(noise) / n)),
+            ("predicted_var", float(stats.estimator_var)),
+            ("sigma_A2", float(stats.sigma_A2)),
+            ("sigma_zprime2", float(stats.sigma_zprime2)),
+        ]
+        return ["stat", "value"], rows
 
 
 SCHEMAS: dict[str, type[_Config]] = {
@@ -264,15 +365,9 @@ def config_from_dict(raw: dict) -> _Config:
 
 
 def run_experiment(config: _Config) -> tuple[list[str], list[tuple]]:
-    """Dispatch to the experiment runner; returns (header, rows)."""
-    runner = {
-        "fig3": _run_fig3,
-        "fig4": _run_fig4,
-        "fig5": _run_fig5,
-        "train": _run_train,
-        "noise-check": _run_noise_check,
-    }[config.experiment]
-    header, rows = runner(config)
+    """Run the configured experiment and write its CSV to `out` if set;
+    returns (header, rows)."""
+    header, rows = config.run()
     if config.out:
         write_csv(config.out, header, rows)
     return header, rows
@@ -284,110 +379,3 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
         writer.writerow(header)
         # csv writes a float (np.float64 included) as its repr
         writer.writerows(rows)
-
-
-def _run_fig3(config: Fig3Config) -> tuple[list[str], list[tuple]]:
-    """Secrecy capacity vs the signal power coefficient alpha."""
-    sweep = SecrecySweep(
-        alpha_grid=config.alpha_grid,
-        power_db_grid=config.powers_db,
-        delta_h_grid=config.delta_h_values,
-        sigma_A2_db_grid=(config.sigma_A2_db_grid[0],),
-        sigma_a2_db=config.sigma_a2_db,
-        sigma_z2=config.sigma_z2,
-        L_s=config.L_s,
-    )
-    results = monte_carlo_secrecy(sweep, config.samples, config.seed)
-    rows = [(r.alpha, r.power_db, r.delta_h, r.mean_c) for r in results]
-    return ["alpha", "p_db", "delta_h", "mean_c"], rows
-
-
-def _run_fig4(config: Fig4Config) -> tuple[list[str], list[tuple]]:
-    """Secrecy capacity vs transmit power and residual-noise variance."""
-    sweep = SecrecySweep(
-        alpha_grid=(config.alpha,),
-        power_db_grid=config.powers_db,
-        delta_h_grid=(config.delta_h_values[0],),
-        sigma_A2_db_grid=config.sigma_A2_db_grid,
-        sigma_a2_db=config.sigma_a2_db,
-        sigma_z2=config.sigma_z2,
-        L_s=config.L_s,
-    )
-    results = monte_carlo_secrecy(sweep, config.samples, config.seed)
-    rows = [(r.power_db, r.sigma_A2_db, r.mean_c) for r in results]
-    return ["p_db", "sigma_A2_db", "mean_c"], rows
-
-
-def _train_once(config: _Training, K: int, alpha_cap: float, beta: float,
-                seed_key: tuple[int, ...]):
-    task_rng = np.random.default_rng([config.seed, 17])
-    task = make_task(K, config.n_per_user, config.d, config.reg_lambda, task_rng)
-    settings = TrainSettings(
-        T=config.T,
-        L_s=config.L_s,
-        power=db_to_linear(config.powers_db[0]),
-        alpha_cap=alpha_cap,
-        beta=beta,
-    )
-    chan = ChannelConfig(fading_mode="rayleigh", sigma_z2=config.sigma_z2)
-    rng = np.random.default_rng(list(seed_key))
-    return train_over_air(task, chan, settings, rng)
-
-
-def _run_fig5(config: Fig5Config) -> tuple[list[str], list[tuple]]:
-    """Convergence bound and simulated loss vs iteration, users, and beta."""
-    rows = []
-    for K in config.k_grid:
-        for alpha_cap, beta in config.splits:
-            losses = np.zeros(config.T)
-            bound_terms = np.zeros(config.T)
-            for s in range(config.n_seeds):
-                state, binp = _train_once(
-                    config, K, alpha_cap, beta, (config.seed, K, int(beta * 100), s)
-                )
-                losses += np.asarray(state.loss_history)
-                t = np.arange(1, config.T + 1)
-                bound_terms += convergence_bound(replace(binp, T=1)) / t
-            losses /= config.n_seeds
-            bound_terms /= config.n_seeds
-            rows += [(t + 1, K, beta, bound, loss) for t, (bound, loss)
-                     in enumerate(zip(bound_terms.tolist(), losses.tolist()))]
-    return ["t", "K", "beta", "bound", "simulated_loss"], rows
-
-
-def _run_train(config: TrainConfig) -> tuple[list[str], list[tuple]]:
-    """Single federated training run over the simulated channel."""
-    state, binp = _train_once(
-        config, config.users, config.alpha, config.beta, (config.seed, 1)
-    )
-    rows = list(zip(range(1, config.T + 1), state.loss_history, state.gap_history))
-    return ["t", "loss", "gap"], rows
-
-
-def _run_noise_check(config: NoiseCheckConfig) -> tuple[list[str], list[tuple]]:
-    """Empirical cancellation check of the aggregated artificial noise."""
-    rng = np.random.default_rng([config.seed, 29])
-    K = config.users
-    chan = ChannelConfig(fading_mode="rayleigh", sigma_z2=config.sigma_z2)
-    h2, alloc, pairing, secrets = draw_link(
-        chan, K, db_to_linear(config.powers_db[0]), config.L_s, config.alpha,
-        config.beta, rng,
-    )
-    stats = aggregate_noise_stats(
-        pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, config.sigma_z2
-    )
-    s_hat = simulate_aggregation_rounds(
-        np.zeros((K, 1)), h2, alloc, pairing, secrets,
-        config.sigma_z2, config.samples, rng,
-    )
-    noise = s_hat[:, 0]
-    stderr = np.sqrt(stats.estimator_var / config.samples)
-    rows = [
-        ("empirical_mean", float(noise.mean())),
-        ("mean_stderr", float(stderr)),
-        ("empirical_var", float(noise.var())),
-        ("predicted_var", float(stats.estimator_var)),
-        ("sigma_A2", float(stats.sigma_A2)),
-        ("sigma_zprime2", float(stats.sigma_zprime2)),
-    ]
-    return ["stat", "value"], rows

@@ -18,11 +18,8 @@ from itertools import product
 import numpy as np
 
 from ._checks import count, decibels, nonnegative, positive, unit_interval
-from .channel import ChannelConfig, db_to_linear, gain_blocks
+from .channel import db_to_linear, gain_blocks
 from .channel import sample_gains  # noqa: F401 -- unused; bench/spans.py wraps it
-
-# the sweep's fading model: Rayleigh gains with unit mean
-_FADING = ChannelConfig()
 
 
 @dataclass(frozen=True)
@@ -318,7 +315,7 @@ def monte_carlo_secrecy(
         thread.start()
     top_h2 = 0.0
     try:
-        for i, x in enumerate(gain_blocks(_FADING, n_samples, rng, blocks)):
+        for i, x in enumerate(gain_blocks(n_samples, rng, blocks)):
             top_h2 = max(top_h2, float(x.max()))
             if math.isfinite(top_S * top_h2 + top_noise):
                 landed.append((i, x))

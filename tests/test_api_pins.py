@@ -12,7 +12,7 @@ from pathlib import Path
 from airfl import secrecy
 from airfl.aircomp import LinkPlan, plan_link, simulate_aggregation_rounds
 from airfl.channel import ChannelConfig
-from airfl.experiments import config_from_dict, run_experiment
+from airfl.experiments import SCHEMAS, config_from_dict, run_experiment
 from airfl.fl_core import BoundInputs, draw_link
 from airfl.pcran import BetaAllocation, NoiseStats, PairSecret, aggregate_noise_stats
 from airfl.secrecy import SecrecySweep
@@ -53,6 +53,20 @@ def test_model_api_is_pinned():
         "n_rounds", "rng"]
     assert params(draw_link) == [
         "channel_config", "K", "power", "L_s", "alpha_cap", "beta", "rng"]
+
+
+def test_each_experiment_is_defined_once():
+    # a schema class is its experiment's only definition: no module-level
+    # _run_* function and no name->runner table beside SCHEMAS
+    tree = ast.parse((ROOT / "src" / "airfl" / "experiments.py").read_text(encoding="utf-8"))
+    runners = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert runners == []
+    (dispatch,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "run_experiment"]
+    assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in ast.walk(dispatch))
+    for name, schema in SCHEMAS.items():
+        assert callable(getattr(schema, "run", None)), name
 
 
 def load_spans():

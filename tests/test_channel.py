@@ -112,7 +112,7 @@ def test_gain_blocks_draw_like_sample_gains(monkeypatch, n, block):
         monkeypatch.setattr(secrecy, "_BLOCK", block)
     blocks = secrecy._tree_blocks(n)
     r_blocks, r_once, r_law = rng(n), rng(n), rng(n)
-    leaves = list(gain_blocks(ChannelConfig(), n, r_blocks, blocks))
+    leaves = list(gain_blocks(n, r_blocks, blocks))
     assert [leaf.size for leaf in leaves] == [b.stop - b.start for b in blocks]
     h2 = np.concatenate(leaves)
     assert np.array_equal(h2, sample_gains(ChannelConfig(), n, r_once))
@@ -126,4 +126,4 @@ def test_gain_blocks_draw_like_sample_gains(monkeypatch, n, block):
                                     [slice(0, 10, 2)], [slice(1, 10)]])
 def test_gain_blocks_must_tile_the_samples(blocks):
     with pytest.raises(ValueError, match="must tile range"):
-        next(gain_blocks(ChannelConfig(), 10, rng(), blocks))
+        next(gain_blocks(10, rng(), blocks))

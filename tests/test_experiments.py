@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -311,6 +312,19 @@ class TestRunExperiment:
         stats = dict(rows)
         assert abs(stats["empirical_mean"]) < 5 * stats["mean_stderr"]
         assert stats["empirical_var"] == pytest.approx(stats["predicted_var"], rel=0.1)
+
+    def test_noise_check_statistics_copy_no_column(self):
+        # the rounds' noise column is the run's largest array; its variance
+        # must not allocate a second one (ndarray.var would, for noise - mean)
+        samples = 400_000
+        cfg = config_from_dict({"experiment": "noise-check", "users": 2, "samples": samples})
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (samples * 8) < 1.5
 
     def test_csv_bytes_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
