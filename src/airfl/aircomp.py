@@ -50,18 +50,32 @@ class LinkPlan:
     noise_stats: NoiseStats
 
 
+def _clip(g: np.ndarray, L_s: float, norm: np.ndarray) -> np.ndarray:
+    """Scale each gradient (last axis of g) down to norm L_s, where it
+    exceeds it, in place.
+
+    norm is a g.shape[:-1] + (1, 1) buffer.  The vector @ vector matmul runs
+    np.linalg.norm's dot routine, so a (K, d) stack clips bit for bit like its
+    rows one by one (an einsum norm sums in another order); L_s / max(norm,
+    L_s) is exactly 1 within the bound.
+    """
+    np.matmul(g[..., None, :], g[..., :, None], out=norm)
+    np.sqrt(norm, out=norm)
+    np.maximum(norm, L_s, out=norm)
+    np.divide(L_s, norm, out=norm)
+    g *= norm[..., 0]
+    return g
+
+
 def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     """Scale each gradient (last axis of g) down to norm L_s if it exceeds it.
 
-    The vector @ vector matmul runs np.linalg.norm's dot routine, so a (K, d)
-    stack clips bit for bit like its rows one by one (an einsum norm sums in
-    another order); L_s / max(norm, L_s) is exactly 1 within the bound.
+    Returns a new array; the rows are clipped as a round of
+    :func:`round_kernel` clips them.
     """
-    if not 0 < L_s < np.inf:
-        raise ValueError(f"gradient-norm bound L_s must be finite and positive, got {L_s}")
-    g = np.asarray(g, dtype=float)
-    norm = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
-    return g * (L_s / np.maximum(norm, L_s))[..., None]
+    positive("L_s", L_s)
+    g = np.array(g, dtype=float)
+    return _clip(g, L_s, np.empty(g.shape[:-1] + (1, 1)))
 
 
 def plan_link(
@@ -149,22 +163,55 @@ def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarra
     return slab
 
 
+def round_kernel(plan: LinkPlan, d: int):
+    """Build one run's aggregation round, for d-dimensional gradients.
+
+    Checks L_s and computes the sig_amp column and m * K once.  The returned
+    round(gradients, noise) takes a (K, d) gradient buffer, which it clips and
+    scales by sig_amp in place, and one (K + 1, d) round of :func:`draw_noise`,
+    which it adds the payloads into.  It sums the rows from the receiver noise
+    on, adding users in index order (the per-user float order, so a seeded run
+    is reproducible bit for bit), and returns s_hat = sum / (mK) in a buffer
+    of its own that the next round overwrites.
+    """
+    L_s = positive("L_s", plan.L_s)
+    K = len(plan.sig_amp)
+    sig_amp = plan.sig_amp[:, None]
+    mK = plan.m * K
+    norm = np.empty((K, 1, 1))
+    s_hat = np.empty(d)
+    # add.reduce over axis 0 adds whole rows in order, but at d = 1 it sums
+    # the column pairwise, so there the rows are accumulated instead.  Both
+    # start from row 0, which draw_noise never writes as -0.0: reduce adds it
+    # to a +0.0 start, and +0.0 + -0.0 would lose the sign
+    partial = np.empty((K + 1, 1)) if d == 1 else None
+
+    def aggregate(gradients: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        _clip(gradients, L_s, norm)
+        gradients *= sig_amp
+        noise[1:] += gradients
+        if partial is None:
+            np.add.reduce(noise, axis=0, out=s_hat)
+        else:
+            s_hat[:] = np.add.accumulate(noise, axis=0, out=partial)[-1]
+        return np.divide(s_hat, mK, out=s_hat)
+
+    return aggregate
+
+
 def simulate_round(gradients: np.ndarray, plan: LinkPlan, noise: np.ndarray) -> np.ndarray:
     """One aggregation round: clip, add to the noise, superpose, rescale by 1/(mK).
 
-    gradients is (K, d) and noise one (K + 1, d) round of :func:`draw_noise`,
-    which the payloads sig_amp * s_k are added into in place.  The sum starts
-    from the receiver noise and adds users in index order, the per-user
-    float order, so a seeded run is reproducible bit for bit.  Returns s_hat.
+    gradients is (K, d), left unchanged, and noise one (K + 1, d) round of
+    :func:`draw_noise`, which the payloads sig_amp * s_k are added into in
+    place.  The checked one-shot form of :func:`round_kernel`; returns a new
+    s_hat.
     """
     K = len(plan.sig_amp)
     if gradients.ndim != 2 or len(gradients) != K or noise.shape != (K + 1, gradients.shape[1]):
         raise ValueError(f"gradient shape {gradients.shape} and noise shape {noise.shape} "
                          f"do not fit a plan of K={K} users")
-    noise[1:] += clip_gradient(gradients, plan.L_s) * plan.sig_amp[:, None]
-    # accumulate adds strictly in row order; add.reduce over axis 0 would
-    # switch to pairwise summation when d = 1
-    return np.add.accumulate(noise, axis=0)[-1] / (plan.m * K)
+    return round_kernel(plan, gradients.shape[1])(np.array(gradients, dtype=float), noise)
 
 
 def simulate_aggregation_rounds(

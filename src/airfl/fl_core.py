@@ -15,7 +15,14 @@ import numpy as np
 from numpy.random import Generator
 
 from ._checks import count, finite, nonnegative, positive, unit_interval
-from .aircomp import _NOISE_BLOCK, clip_gradient, draw_noise, plan_link, simulate_round
+from .aircomp import (
+    _NOISE_BLOCK,
+    clip_gradient,
+    draw_noise,
+    plan_link,
+    round_kernel,
+    simulate_round,  # noqa: F401 -- unused; bench/spans.py wraps it
+)
 from .channel import ChannelConfig, sample_channel
 from .pcran import (
     Pairing,
@@ -116,11 +123,6 @@ def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> float:
     return float(0.5 * (np.add.reduce(resid * resid, axis=None) / resid.size) + reg)
 
 
-def _gradients_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> np.ndarray:
-    n = task.U.shape[1]
-    return np.einsum("kn,knd->kd", resid, task.U) / n + task.reg_lambda * w
-
-
 def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
     """Mean per-point regularized squared error over the pooled dataset."""
     return _loss_at(_residual(w, task), w, task)
@@ -128,7 +130,8 @@ def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
 
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
     """Stack of every user's local gradient, shape (K, d)."""
-    return _gradients_at(_residual(w, task), w, task)
+    n = task.U.shape[1]
+    return np.einsum("kn,knd->kd", _residual(w, task), task.U) / n + task.reg_lambda * w
 
 
 def optimal_model(task: SyntheticTask) -> np.ndarray:
@@ -149,10 +152,16 @@ def convergence_bound(inputs: BoundInputs) -> float:
              "sigma_z2": nonnegative}
     for name, rule in rules.items():
         rule(name, getattr(inputs, name))
-    noise = (inputs.d / (inputs.m**2 * inputs.K**2)) * (
-        inputs.noise_power_sum + inputs.sigma_z2
-    )
-    return (2.0 * inputs.mu / (inputs.lam**2 * inputs.T)) * (inputs.L_s**2 + noise)
+    # as Python floats, an overflowing product or quotient is inf without
+    # numpy's warning; a float power instead raises OverflowError where the
+    # product is inf, and a square that underflows to 0 would divide by zero,
+    # so each square is checked as a product (the powers keep their bits,
+    # which can differ from the product's in the last place)
+    mu, lam, m, L_s = (float(getattr(inputs, name)) for name in ("mu", "lam", "m", "L_s"))
+    for name, x in (("lam", lam), ("m", m), ("L_s", L_s)):
+        positive(f"{name}**2", x * x)
+    noise = (inputs.d / (m**2 * inputs.K**2)) * (inputs.noise_power_sum + inputs.sigma_z2)
+    return finite("convergence bound", (2.0 * mu / (lam**2 * inputs.T)) * (L_s**2 + noise))
 
 
 @dataclass(frozen=True)
@@ -224,43 +233,61 @@ def train_over_air(
 
     The channel is sampled once (time-invariant link), pairs and secrets are
     formed once, and each round clips the local gradients, transmits them
-    with PCR-AN, and applies the global update w <- w - eta_t * s_hat.  Noise
-    is drawn ahead in blocks of at most _NOISE_BLOCK doubles (see draw_noise).
+    with PCR-AN, and applies the global update w <- w - eta_t * s_hat.  The
+    round kernel and the task's arrays and constants are set up once per run,
+    and each round computes in place in per-run buffers.  Noise is drawn ahead
+    in blocks of at most _NOISE_BLOCK doubles (see draw_noise).
     Returns the trajectory plus the bound inputs matching the realized run.
     """
-    K = task.K
+    K, d = task.K, task.d
     h2, alloc, pairing, secrets = draw_link(
         channel_config, K, settings.power, settings.L_s, settings.alpha_cap,
         settings.beta, rng,
     )
     plan = plan_link(h2, alloc, pairing, secrets, channel_config.sigma_z2)
+    aggregate = round_kernel(plan, d)
 
-    state = TrainState(w=np.zeros(task.d))
+    state = TrainState(w=np.zeros(d))
+    w, losses, gaps = state.w, state.loss_history, state.gap_history
     w_star = optimal_model(task)
     f_star = global_loss(w_star, task)
     # one residual per round serves the loss at w_t and round t+1's gradients
-    resid = _residual(state.w, task)
+    resid = _residual(w, task)
     # the 1/(lam t) schedule makes a large t=1 step intrinsic, so the
     # divergence guard anchors at the post-first-step loss
-    guard_ref = _loss_at(resid, state.w, task)
-    per_block = max(1, _NOISE_BLOCK // ((K + 1) * task.d))
+    guard_ref = _loss_at(resid, w, task)
+    per_block = max(1, _NOISE_BLOCK // ((K + 1) * d))
 
-    for t in range(1, settings.T + 1):
-        if (t - 1) % per_block == 0:
-            block = iter(draw_noise(plan, min(per_block, settings.T + 1 - t), task.d, rng))
-        s_hat = simulate_round(_gradients_at(resid, state.w, task), plan, next(block))
-        eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
-        state.w = state.w - eta * s_hat
-        resid = _residual(state.w, task)
-        loss = _loss_at(resid, state.w, task)
-        state.loss_history.append(loss)
-        state.gap_history.append(loss - f_star)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
-        if t == 1:
-            guard_ref = max(guard_ref, loss)
-        elif loss > DIVERGENCE_FACTOR * max(guard_ref, 1e-12):
-            raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
+    # each round computes all_local_gradients and global_loss in place:
+    # w, resid and these buffers are overwritten every round
+    U, V, lam = task.U, task.V, task.reg_lambda
+    n = U.shape[1]
+    half_lam, points = 0.5 * lam, resid.size
+    grads, lam_w, squares = np.empty((K, d)), np.empty(d), np.empty(resid.shape)
+    # an overflow makes the loss non-finite, which the guard rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, settings.T + 1):
+            if (t - 1) % per_block == 0:
+                block = iter(draw_noise(plan, min(per_block, settings.T + 1 - t), d, rng))
+            np.einsum("kn,knd->kd", resid, U, out=grads)
+            grads /= n
+            grads += np.multiply(lam, w, out=lam_w)
+            s_hat = aggregate(grads, next(block))
+            s_hat *= settings.eta if settings.eta is not None else 1.0 / (lam * t)
+            w -= s_hat
+            np.matmul(U, w, out=resid)
+            resid -= V
+            np.multiply(resid, resid, out=squares)
+            loss = (0.5 * (float(np.add.reduce(squares, axis=None)) / points)
+                    + half_lam * float(w @ w))
+            losses.append(loss)
+            gaps.append(loss - f_star)
+            if not math.isfinite(loss):
+                raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
+            if t == 1:
+                guard_ref = max(guard_ref, loss)
+            elif loss > DIVERGENCE_FACTOR * max(guard_ref, 1e-12):
+                raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
 
     bound_inputs = BoundInputs(
         mu=task.mu,

@@ -242,6 +242,11 @@ def aggregate_noise_stats(
     c = equalized_gain(noise_gains(h2, P, beta))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
     M = float(sum(c for _ in pairing.pairs) / (m * K))
+    # a float power raises OverflowError where the product returns inf, and
+    # (mK)^2 is a divisor that must not underflow to 0; the powers below keep
+    # their bits, which can differ from the product's in the last place
+    finite("noise factor M**2", M * M)
+    positive("(m*K)**2", (m * K) * (m * K))
     sigma_zprime2 = M**2 * sigma_A2 + sigma_z2
     estimator_var = (c**2 * sigma_A2 + sigma_z2) / (m * K) ** 2
     return NoiseStats(M=M, sigma_A2=sigma_A2, sigma_zprime2=sigma_zprime2,

@@ -9,6 +9,7 @@ from airfl.aircomp import (
     clip_gradient,
     draw_noise,
     plan_link,
+    round_kernel,
     simulate_aggregation_rounds,
     simulate_round,
 )
@@ -211,6 +212,57 @@ def test_gaussian_fill_is_generator_normal():
         fill = _gaussian(gen_fill, loc, scale, np.empty(shape))
         assert np.array_equal(bits(fill), bits(gen_normal.normal(loc, scale, size=shape)))
         assert gen_fill.bit_generator.state == gen_normal.bit_generator.state
+
+
+class TestRoundKernelContract:
+    def test_one_shot_round_leaves_gradients_and_returns_a_new_array(self):
+        # random_link's last gradient must be clipped, which the kernel does
+        # in place on its own copy
+        h2, alloc, pairing, secrets, grads = random_link(4, 3, False, 21)
+        plan = plan_link(h2, alloc, pairing, secrets, 1.0)
+        before = grads.copy()
+        first, second = (simulate_round(grads, plan, noise)
+                         for noise in draw_noise(plan, 2, 3, rng(1)))
+        assert np.array_equal(bits(grads), bits(before))
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 30])
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    @pytest.mark.parametrize("zero_payloads", [False, True])
+    def test_receiver_sum_is_the_row_order_sum(self, d, sigma_z2, zero_payloads):
+        # 11 rows: a pairwise sum of a column would use its 8 partial sums;
+        # zero_payloads makes every user row -0.0, so only the receiver row
+        # can give a coordinate its sign
+        K = 10
+        h2, alloc, pairing, secrets, grads = random_link(K, d, False, 70 + d)
+        plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
+        if zero_payloads:
+            grads = np.full((K, d), -0.0)
+        aggregate = round_kernel(plan, d)
+        for noise in draw_noise(plan, 8, d, rng(d)):
+            if zero_payloads:
+                noise[1:] = -0.0
+            rows = noise.copy()
+            rows[1:] += clip_gradient(grads, plan.L_s) * plan.sig_amp[:, None]
+            total = rows[0]
+            for row in rows[1:]:
+                total = total + row
+            s_hat = aggregate(grads.copy(), noise)
+            assert np.array_equal(bits(s_hat), bits(total / (plan.m * K)))
+
+    @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+    def test_draw_noise_writes_no_negative_zero_receiver_row(self, sigma_z2):
+        # the kernel's add.reduce adds row 0 to a +0.0 start, which would turn
+        # a -0.0 there into +0.0; here every standard normal drawn is -0.0
+        class NegativeZeros:
+            def standard_normal(self, out):
+                out[...] = -0.0
+                return out
+
+        h2, alloc, pairing, secrets, _ = random_link(4, 3, False, 5)
+        plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
+        block = draw_noise(plan, 3, 3, NegativeZeros())
+        assert np.array_equal(bits(block[:, 0]), bits(np.zeros((3, 3))))
 
 
 def reference_aggregation_rounds(gradients, plan, n_rounds, gen):

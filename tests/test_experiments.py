@@ -531,6 +531,37 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("airfl: error: received power S |h|^2 + noise overflows")
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"experiment": "fig5", "reg_lambda": 1e300, "T": 3, "d": 1, "n_per_user": 1,
+          "k_grid": [2], "n_seeds": 1}, "lam**2 must be a finite positive value, got inf"),
+        ({"experiment": "noise-check", "L_s": 1e300, "samples": 1},
+         "noise factor M**2 must be a finite value, got inf"),
+        ({"experiment": "fig5", "L_s": 1e300, "powers_db": [0.5]},
+         "noise factor M**2 must be a finite value, got inf"),
+        ({"experiment": "train", "L_s": 3000.0, "alpha": 1e-300, "T": 1, "d": 1,
+          "n_per_user": 1}, "training diverged at iteration 1 (loss inf)"),
+        ({"experiment": "noise-check", "L_s": 1e-300, "samples": 1},
+         "(m*K)**2 must be a finite positive value, got inf"),
+        ({"experiment": "noise-check", "L_s": 1e300, "beta": 0.0, "samples": 1},
+         "(m*K)**2 must be a finite positive value, got 0.0"),
+        ({"experiment": "fig5", "reg_lambda": 1e-155, "L_s": 1e-10, "T": 1, "d": 1,
+          "n_per_user": 1, "k_grid": [2], "n_seeds": 1},
+         "convergence bound must be a finite value, got inf"),
+    ], ids=["fig5-lambda", "noise-M", "fig5-M", "train-overflow", "noise-mK-inf",
+            "noise-mK-zero", "fig5-bound-inf"])
+    def test_finite_extreme_is_one_error_line(self, tmp_path, capsys, raw, message):
+        # a float power raised OverflowError (a traceback) for the first
+        # three, the fourth printed two numpy overflow warnings before its
+        # error, the next two raised on (m K)^2 overflowing or divided by it
+        # underflowed to 0, and the last warned twice and wrote an inf bound
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([raw["experiment"], "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"airfl: error: {message}"]
+
     def test_alpha_above_one_is_one_error_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "fig3", "alpha_grid": [2.0],
                                        "samples": 100})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from airfl import fl_core
-from airfl.aircomp import draw_noise, plan_link, simulate_round
+from airfl.aircomp import draw_noise, plan_link, round_kernel, simulate_round
 from airfl.channel import ChannelConfig, sample_channel
 from airfl.fl_core import (
     BoundInputs,
@@ -196,13 +196,15 @@ def reference_train(task, chan, settings, gen, secret_draw):
 
 
 class TestTrainOverAir:
-    @pytest.mark.parametrize("K", [2, 6])
+    @pytest.mark.parametrize("K, d", [(2, 5), (6, 5), (2, 1), (6, 1)],
+                             ids=["2", "6", "2-d1", "6-d1"])
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("quiet", [False, True])
-    def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet, monkeypatch):
-        # quiet runs with beta = 0: every user draws noise that reaches no one
+    def test_matches_reference_loop_exactly(self, K, sigma_z2, quiet, d, monkeypatch):
+        # quiet runs with beta = 0: every user draws noise that reaches no one;
+        # d = 1 is the round kernel's accumulate branch
         monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
-        task = small_task(12, K=K, n=8, d=5, lam=0.1)
+        task = small_task(12, K=K, n=8, d=d, lam=0.1)
         settings = TrainSettings(T=40, power=100.0, beta=0.0 if quiet else 0.5)
         chan = ChannelConfig(sigma_z2=sigma_z2)
         gen_ref = rng(13)
@@ -214,6 +216,13 @@ class TestTrainOverAir:
             return draw_noise(plan, rounds, d, gen)
 
         monkeypatch.setattr(fl_core, "draw_noise", recorded)
+        kernels = []
+
+        def counted(plan, d):
+            kernels.append(d)
+            return round_kernel(plan, d)
+
+        monkeypatch.setattr(fl_core, "round_kernel", counted)
         # the module's block holds all 40 rounds; blocks of 7 rounds end on a
         # short block of 5; blocks of 1 round draw round by round.  fl_core
         # imports _NOISE_BLOCK from aircomp, and train_over_air reads fl_core's
@@ -221,9 +230,11 @@ class TestTrainOverAir:
             if block_rounds is not None:
                 monkeypatch.setattr(fl_core, "_NOISE_BLOCK", block_rounds * (K + 1) * task.d)
             blocks.clear()
+            kernels.clear()
             gen_train = rng(13)
             state, _ = train_over_air(task, chan, settings, gen_train)
             assert blocks == sizes
+            assert kernels == [d]  # built once per run
             assert np.array_equal(state.loss_history, losses)
             assert np.array_equal(state.gap_history, gaps)
             assert np.array_equal(state.w, w)

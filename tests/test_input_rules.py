@@ -53,9 +53,6 @@ BAD = {
     "positive": NOT_FINITE + [-1.0, 0.0],
     "unit_interval": NOT_FINITE + [-1.0, 1.5],
     "count": NOT_FINITE + [-1, 2.5],
-    # clip_gradient runs every round, so it compares inline and takes a bool
-    # as 1; plan_link and compute_alignment check L_s with the predicate
-    "per_round": [math.nan, math.inf, -math.inf, -1.0, 0.0],
 }
 # a value each rule accepts, given inside a list where a number is expected
 GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
@@ -160,7 +157,7 @@ TABLE = [
     ("aggregate_noise_stats", stats,
      {"h2": "nonnegative", "P": "nonnegative", "beta": "nonnegative", "m": "positive",
       "sigma_z2": "nonnegative"}, ("h2", "P", "beta"), ()),
-    ("clip_gradient", lambda L_s: clip_gradient(np.ones(3), L_s), {"L_s": "per_round"}, (), ()),
+    ("clip_gradient", lambda L_s: clip_gradient(np.ones(3), L_s), {"L_s": "positive"}, (), ()),
     ("plan_link", plan,
      {"h2": "nonnegative", "sigma_z2": "nonnegative", "P": "nonnegative",
       "alpha": "unit_interval", "beta": "nonnegative", "m": "positive", "L_s": "positive"},
@@ -183,7 +180,7 @@ TABLE = [
     ("train_over_air", train,
      {"L_s": "positive", "alpha_cap": "unit_interval", "beta": "unit_interval"}, (), ()),
     ("centralized_gd", lambda L_s: centralized_gd(TASK, TrainSettings(T=3, L_s=L_s)),
-     {"L_s": "per_round"}, (), ()),
+     {"L_s": "positive"}, (), ()),
     ("draw_link", link,
      {"K": "count", "power": "positive", "L_s": "positive", "alpha_cap": "unit_interval",
       "beta": "unit_interval"}, (), ()),
@@ -224,7 +221,7 @@ def cases():
         for name, rule in rules.items():
             # a list, even of one good value or of none, is not a number, and
             # a grid entry is a number
-            lists = [] if name in arrays or rule == "per_round" else [[GOOD[rule]], []]
+            lists = [] if name in arrays else [[GOOD[rule]], []]
             for value in BAD[rule] + lists:
                 yield pytest.param(entry, call, name, value, arrays, grids,
                                    id=f"{entry}-{name}-{value!r}")
