@@ -33,7 +33,9 @@ def _real(requirement: str, in_range):
         except (OverflowError, ValueError):  # a huge int, a ragged nesting
             ok = False
         if not ok:
-            raise ValueError(f"{name} must be {requirement}, got {value!r}")
+            # numpy wraps a long array's repr over several lines
+            shown = " ".join(repr(value).split()) if isinstance(value, np.ndarray) else repr(value)
+            raise ValueError(f"{name} must be {requirement}, got {shown}")
         return value
     return check
 

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._checks import count, decibels, nonnegative, positive, unit_interval
+from ._checks import count, decibels, finite, nonnegative, positive, unit_interval
 from .aircomp import simulate_aggregation_rounds
 from .channel import ChannelConfig, db_to_linear
 from .channel import sample_channel  # noqa: F401 -- unused; bench/spans.py wraps it
@@ -309,19 +309,22 @@ class NoiseCheckConfig(_Config):
             np.zeros((K, 1)), h2, alloc, pairing, secrets, self.sigma_z2, n, rng,
         )
         noise = s_hat[:, 0]
-        mean = noise.mean()
-        # ndarray.var's arithmetic, in place of its n-sized temporary
-        noise -= mean
-        np.multiply(noise, noise, out=noise)
-        rows = [
-            ("empirical_mean", float(mean)),
-            ("mean_stderr", float(np.sqrt(stats.estimator_var / n))),
-            ("empirical_var", float(np.add.reduce(noise) / n)),
-            ("predicted_var", float(stats.estimator_var)),
-            ("sigma_A2", float(stats.sigma_A2)),
-            ("sigma_zprime2", float(stats.sigma_zprime2)),
+        # ndarray.var's arithmetic, in place of its n-sized temporary; an
+        # overflow leaves a non-finite statistic, which is rejected by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = noise.mean()
+            noise -= mean
+            np.multiply(noise, noise, out=noise)
+            var = np.add.reduce(noise) / n
+        values = [
+            ("empirical_mean", mean),
+            ("mean_stderr", np.sqrt(stats.estimator_var / n)),
+            ("empirical_var", var),
+            ("predicted_var", stats.estimator_var),
+            ("sigma_A2", stats.sigma_A2),
+            ("sigma_zprime2", stats.sigma_zprime2),
         ]
-        return ["stat", "value"], rows
+        return ["stat", "value"], [(name, finite(name, float(x))) for name, x in values]
 
 
 SCHEMAS: dict[str, type[_Config]] = {

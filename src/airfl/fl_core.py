@@ -112,15 +112,30 @@ def make_task(
     return SyntheticTask(U=U, V=V, reg_lambda=reg_lambda, mu=mu)
 
 
-def _residual(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
-    """Per-point residuals U @ w - V of every user, shape (K, n)."""
-    return task.U @ w - task.V
+def _residual(w: np.ndarray, task: SyntheticTask, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-point residuals U @ w - V of every user, shape (K, n), into `out` if given."""
+    resid = np.matmul(task.U, w, out=out)
+    resid -= task.V
+    return resid
 
 
-def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> float:
+def _gradients_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
+                  out: np.ndarray | None = None, lam_w: np.ndarray | None = None) -> np.ndarray:
+    """Every user's local gradient at w from its residuals, shape (K, d), into
+    `out` if given; `lam_w` is a work buffer of w's shape."""
+    grads = np.einsum("kn,knd->kd", resid, task.U, out=out)
+    grads /= task.U.shape[1]
+    grads += np.multiply(task.reg_lambda, w, out=lam_w)
+    return grads
+
+
+def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
+             squares: np.ndarray | None = None) -> float:
+    """The global loss at w from its residuals; `squares` is a work buffer of resid's shape."""
+    squares = np.multiply(resid, resid, out=squares)
     # add.reduce / size is the sum and divide np.mean runs, minus its dispatch
-    reg = 0.5 * task.reg_lambda * float(w @ w)
-    return float(0.5 * (np.add.reduce(resid * resid, axis=None) / resid.size) + reg)
+    return float(0.5 * (float(np.add.reduce(squares, axis=None)) / resid.size)
+                 + 0.5 * task.reg_lambda * float(w @ w))
 
 
 def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
@@ -130,8 +145,7 @@ def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
 
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
     """Stack of every user's local gradient, shape (K, d)."""
-    n = task.U.shape[1]
-    return np.einsum("kn,knd->kd", _residual(w, task), task.U) / n + task.reg_lambda * w
+    return _gradients_at(_residual(w, task), w, task)
 
 
 def optimal_model(task: SyntheticTask) -> np.ndarray:
@@ -173,13 +187,10 @@ class TrainSettings:
     power: float = 1000.0  # linear per-user transmit power
     alpha_cap: float = 0.5
     beta: float = 0.5
-    eta: float | None = None  # None -> 1/(reg_lambda * t) schedule
 
     def __post_init__(self) -> None:
         count("T", self.T)
         positive("power", self.power)
-        if self.eta is not None:
-            finite("eta", self.eta)
 
 
 def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
@@ -192,8 +203,7 @@ def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
     for t in range(1, settings.T + 1):
         grads = all_local_gradients(state.w, task)
         s_hat = clip_gradient(grads, settings.L_s).mean(axis=0)
-        eta = settings.eta if settings.eta is not None else 1.0 / (task.reg_lambda * t)
-        state.w = state.w - eta * s_hat
+        state.w = state.w - 1.0 / (task.reg_lambda * t) * s_hat
         state.loss_history.append(global_loss(state.w, task))
     return state
 
@@ -233,10 +243,10 @@ def train_over_air(
 
     The channel is sampled once (time-invariant link), pairs and secrets are
     formed once, and each round clips the local gradients, transmits them
-    with PCR-AN, and applies the global update w <- w - eta_t * s_hat.  The
-    round kernel and the task's arrays and constants are set up once per run,
-    and each round computes in place in per-run buffers.  Noise is drawn ahead
-    in blocks of at most _NOISE_BLOCK doubles (see draw_noise).
+    with PCR-AN, and applies the global update w <- w - s_hat / (lam t).  The
+    round kernel and the buffers are set up once per run, and each round
+    computes in place.  Noise is drawn ahead in blocks of at most
+    _NOISE_BLOCK doubles (see draw_noise).
     Returns the trajectory plus the bound inputs matching the realized run.
     """
     K, d = task.K, task.d
@@ -249,8 +259,7 @@ def train_over_air(
 
     state = TrainState(w=np.zeros(d))
     w, losses, gaps = state.w, state.loss_history, state.gap_history
-    w_star = optimal_model(task)
-    f_star = global_loss(w_star, task)
+    f_star = global_loss(optimal_model(task), task)
     # one residual per round serves the loss at w_t and round t+1's gradients
     resid = _residual(w, task)
     # the 1/(lam t) schedule makes a large t=1 step intrinsic, so the
@@ -258,28 +267,18 @@ def train_over_air(
     guard_ref = _loss_at(resid, w, task)
     per_block = max(1, _NOISE_BLOCK // ((K + 1) * d))
 
-    # each round computes all_local_gradients and global_loss in place:
-    # w, resid and these buffers are overwritten every round
-    U, V, lam = task.U, task.V, task.reg_lambda
-    n = U.shape[1]
-    half_lam, points = 0.5 * lam, resid.size
+    # each round computes the gradients and the loss in place: w, resid and
+    # these buffers are overwritten every round
     grads, lam_w, squares = np.empty((K, d)), np.empty(d), np.empty(resid.shape)
     # an overflow makes the loss non-finite, which the guard rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, settings.T + 1):
             if (t - 1) % per_block == 0:
                 block = iter(draw_noise(plan, min(per_block, settings.T + 1 - t), d, rng))
-            np.einsum("kn,knd->kd", resid, U, out=grads)
-            grads /= n
-            grads += np.multiply(lam, w, out=lam_w)
-            s_hat = aggregate(grads, next(block))
-            s_hat *= settings.eta if settings.eta is not None else 1.0 / (lam * t)
+            s_hat = aggregate(_gradients_at(resid, w, task, grads, lam_w), next(block))
+            s_hat *= 1.0 / (task.reg_lambda * t)
             w -= s_hat
-            np.matmul(U, w, out=resid)
-            resid -= V
-            np.multiply(resid, resid, out=squares)
-            loss = (0.5 * (float(np.add.reduce(squares, axis=None)) / points)
-                    + half_lam * float(w @ w))
+            loss = _loss_at(_residual(w, task, resid), w, task, squares)
             losses.append(loss)
             gaps.append(loss - f_star)
             if not math.isfinite(loss):

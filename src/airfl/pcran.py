@@ -247,7 +247,8 @@ def aggregate_noise_stats(
     # their bits, which can differ from the product's in the last place
     finite("noise factor M**2", M * M)
     positive("(m*K)**2", (m * K) * (m * K))
-    sigma_zprime2 = M**2 * sigma_A2 + sigma_z2
-    estimator_var = (c**2 * sigma_A2 + sigma_z2) / (m * K) ** 2
+    # a product of floats overflows to inf, and a subnormal (mK)^2 divides to inf
+    sigma_zprime2 = finite("sigma_zprime2", M**2 * sigma_A2 + sigma_z2)
+    estimator_var = finite("estimator_var", (c**2 * sigma_A2 + sigma_z2) / (m * K) ** 2)
     return NoiseStats(M=M, sigma_A2=sigma_A2, sigma_zprime2=sigma_zprime2,
                       estimator_var=estimator_var)

@@ -92,7 +92,7 @@ class SecrecySweep:
     max(|h|^2 - delta_h, 0).  Construction rejects a non-finite value, a dB
     value above MAX_DB (its linear power overflows), an alpha outside
     [0, 1], L_s <= 0, a signal factor S that overflows, a negative sigma_z2
-    or delta_h, and a point whose residual or eavesdropper noise is not
+    or delta_h, and a residual or eavesdropper noise that is not finite and
     positive, any of which would turn the means into NaN or leave the model.
     """
 
@@ -118,10 +118,9 @@ class SecrecySweep:
                                                 max(self.power_db_grid))):
             raise ValueError(f"signal factor S = sqrt(alpha P) / L_s overflows at "
                              f"L_s = {self.L_s}")
-        if any(self.residual_noise(s) <= 0 for s in self.sigma_A2_db_grid):
-            raise ValueError("residual noise variance sigma_zprime2 must be positive")
-        if self.eavesdropper_noise() <= 0:
-            raise ValueError("eavesdropper noise sigma_z2 + sigma_a2 must be positive")
+        for sigma_A2_db in self.sigma_A2_db_grid:
+            positive("residual noise variance sigma_zprime2", self.residual_noise(sigma_A2_db))
+        positive("eavesdropper noise sigma_z2 + sigma_a2", self.eavesdropper_noise())
 
     def signal_factor(self, alpha: float, power_db: float) -> float:
         """S = sqrt(alpha P) / L_s; Python floats overflow to inf unwarned."""

@@ -185,6 +185,34 @@ def test_gaussian_draws_share_one_helper_and_block():
     assert imports == [("fl_core", "aircomp")]
 
 
+def test_training_formulas_are_written_once():
+    # the round loop and the public global_loss and all_local_gradients share
+    # fl_core's private helpers, so the gradient einsum, the residual U @ w - V
+    # and the loss's squared-residual sum each appear once in src/airfl
+    found = {"einsum": [], "residual": [], "squared sum": []}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Constant) and node.value == "kn,knd->kd":
+            found["einsum"].append(where)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Sub):
+            subtrahend = node.right if isinstance(node, ast.BinOp) else node.value
+            if "V" in (getattr(subtrahend, "id", None), getattr(subtrahend, "attr", None)):
+                found["residual"].append(where)
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduce"
+                and any(k.arg == "axis" and getattr(k.value, "value", 0) is None
+                        for k in node.keywords)):
+            found["squared sum"].append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {"einsum": ["fl_core._gradients_at"], "residual": ["fl_core._residual"],
+                     "squared sum": ["fl_core._loss_at"]}
+
+
 # overflow checks of computed values (alignment constant, received powers,
 # signal factor, training loss), which no input rule covers: the only lines
 # outside airfl/_checks.py that may test finiteness

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion with RuntimeWarnings as errors."""
+"""Every script in demos/ runs to completion with warnings as errors."""
 import os
 import subprocess
 import sys
@@ -20,7 +20,7 @@ def test_demo_runs(demo, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

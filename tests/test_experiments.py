@@ -547,13 +547,28 @@ class TestCli:
         ({"experiment": "fig5", "reg_lambda": 1e-155, "L_s": 1e-10, "T": 1, "d": 1,
           "n_per_user": 1, "k_grid": [2], "n_seeds": 1},
          "convergence bound must be a finite value, got inf"),
+        ({"experiment": "noise-check", "powers_db": [-3082.0], "samples": 1, "users": 4},
+         "estimator_var must be a finite value, got inf"),
+        ({"experiment": "noise-check", "L_s": 1.5e154, "samples": 1000},
+         "empirical_var must be a finite value, got inf"),
+        ({"experiment": "noise-check", "powers_db": [1e-155], "L_s": 1e155, "beta": 0.0},
+         "estimator_var must be a finite value, got inf"),
+        ({"experiment": "fig5", "powers_db": [3082.0], "T": 3, "n_per_user": 2,
+          "splits": [[0.5, 1e-300]], "n_seeds": 1},
+         "h2 * P must be a finite value, got array([7.37788225e+307, inf, 1.39837915e+308, "
+         "2.94607130e+307, inf, 3.16248622e+307, inf, 8.41544871e+307, 5.25571298e+306, "
+         "1.35286484e+308])"),
     ], ids=["fig5-lambda", "noise-M", "fig5-M", "train-overflow", "noise-mK-inf",
-            "noise-mK-zero", "fig5-bound-inf"])
+            "noise-mK-zero", "fig5-bound-inf", "noise-mK-subnormal", "noise-var-overflow",
+            "noise-var-inf", "fig5-array"])
     def test_finite_extreme_is_one_error_line(self, tmp_path, capsys, raw, message):
         # a float power raised OverflowError (a traceback) for the first
         # three, the fourth printed two numpy overflow warnings before its
         # error, the next two raised on (m K)^2 overflowing or divided by it
-        # underflowed to 0, and the last warned twice and wrote an inf bound
+        # underflowed to 0, and the seventh warned twice and wrote an inf
+        # bound; the three noise-checks after it wrote inf rows (a subnormal
+        # (m K)^2 divides to inf) or warned in the variance and exited 0, and
+        # the last printed its array over three lines
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
