@@ -42,6 +42,8 @@ def _real(requirement: str, in_range):
 
 finite = _real("a finite value", lambda x: True)
 unit_interval = _real("a finite value in [0, 1]", lambda x: (0 <= x) & (x <= 1))
+positive_fraction = _real("a finite value in (0, 1]", lambda x: (0 < x) & (x <= 1))
+open_unit_interval = _real("a finite value in (0, 1)", lambda x: (0 < x) & (x < 1))
 positive = _real("a finite positive value", lambda x: x > 0)
 nonnegative = _real("a finite nonnegative value", lambda x: x >= 0)
 # a larger dB value overflows to an infinite linear power

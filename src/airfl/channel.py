@@ -70,12 +70,12 @@ def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
 def gain_blocks(n: int, rng: Generator, blocks: list[slice]) -> Iterator[np.ndarray]:
     """Draw sample_gains' n Rayleigh gains block by block, with no config.
 
-    `blocks` must tile range(n) left to right.  All n real parts are drawn
-    and squared first; then, per block, its imaginary parts are drawn,
-    squared and added, and the block's gains are yielded as a view of one
-    n-element array.  Generator.normal in chunks reads the same stream as in
-    one call, so the gains and the generator's final state are those of
-    sample_gains, and a consumer can start on a block while the next is drawn.
+    `blocks` must tile range(n) left to right.  The call draws and squares
+    all n real parts, so the calling thread owns the n-element array; the
+    iterator it returns adds each block's squared imaginary parts and yields
+    the block's gains as a view of that array.  Generator.normal in chunks
+    reads the same stream as in one call, so the gains and the generator's
+    final state are those of sample_gains.
     """
     count("n", n)
     stops = [0] + [block.stop for block in blocks]
@@ -83,11 +83,14 @@ def gain_blocks(n: int, rng: Generator, blocks: list[slice]) -> Iterator[np.ndar
         raise ValueError(f"blocks must tile range({n}) left to right")
     h2 = rng.normal(0.0, np.sqrt(0.5), size=n)
     np.square(h2, out=h2)
-    for block in blocks:
-        im = rng.normal(0.0, np.sqrt(0.5), size=block.stop - block.start)
-        np.square(im, out=im)
-        h2[block] += im
-        yield h2[block]
+    return (_add_imaginary_parts(h2[block], rng) for block in blocks)
+
+
+def _add_imaginary_parts(gains: np.ndarray, rng: Generator) -> np.ndarray:
+    """Add squared N(0, 1/2) draws to the squared real parts `gains`, in place."""
+    im = rng.normal(0.0, np.sqrt(0.5), size=gains.size)
+    gains += np.square(im, out=im)
+    return gains
 
 
 def awgn(dim: int, sigma2: float, rng: Generator) -> np.ndarray:

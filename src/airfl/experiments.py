@@ -15,7 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._checks import count, decibels, finite, nonnegative, positive, unit_interval
+from ._checks import (count, decibels, finite, nonnegative, positive, positive_fraction,
+                      unit_interval)
 from .aircomp import simulate_aggregation_rounds
 from .channel import ChannelConfig, db_to_linear
 from .channel import sample_channel  # noqa: F401 -- unused; bench/spans.py wraps it
@@ -71,7 +72,7 @@ def _split(name, value):
         raise ConfigError(
             f"each {name} entry must be an [alpha_cap, beta] pair, got {value!r}"
         )
-    return unit_interval("alpha", value[0]), unit_interval("beta", value[1])
+    return positive_fraction(f"{name} alpha", value[0]), unit_interval(f"{name} beta", value[1])
 
 
 def _splits(name, value):
@@ -96,7 +97,7 @@ _RULES = {
     "users": _user_count,
     "k_grid": _grid(_user_count),
     "splits": _splits,
-    "alpha": unit_interval,
+    "alpha": positive_fraction,  # the alignment's alpha_cap; fig4 replaces it
     "beta": unit_interval,
     "alpha_grid": _grid(unit_interval, "alpha"),
     "powers_db": _grid(decibels),
@@ -121,6 +122,7 @@ class _Config:
 
     experiment: ClassVar[str]
     one_entry: ClassVar[tuple[str, ...]] = ()
+    rules: ClassVar[dict] = {}  # {field name: the rule checking it in place of _RULES'}
 
     seed: int = 0
     out: str | None = None
@@ -131,7 +133,7 @@ class _Config:
     def __post_init__(self) -> None:
         for f in fields(self):
             try:
-                value = _RULES[f.name](f.name, getattr(self, f.name))
+                value = self.rules.get(f.name, _RULES[f.name])(f.name, getattr(self, f.name))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
             if f.name in self.one_entry and len(value) != 1:
@@ -192,6 +194,7 @@ class Fig4Config(_Secrecy):
 
     experiment: ClassVar[str] = "fig4"
     one_entry: ClassVar[tuple[str, ...]] = ("delta_h_values",)
+    rules: ClassVar[dict] = {"alpha": unit_interval}  # alpha = 0 is S = 0, no signal
     columns: ClassVar[dict[str, str]] = {
         "p_db": "power_db", "sigma_A2_db": "sigma_A2_db", "mean_c": "mean_c"}
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from ._checks import count, finite, nonnegative, positive, unit_interval
+from ._checks import (count, finite, nonnegative, open_unit_interval, positive,
+                      positive_fraction, unit_interval)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -141,8 +142,7 @@ def compute_alignment(
     h2 = np.asarray(nonnegative("h2", h2, ndim=1), dtype=float)
     P = np.asarray(positive("P", P, ndim=1), dtype=float)
     positive("L_s", L_s)
-    if not unit_interval("alpha_cap", alpha_cap) > 0:
-        raise ValueError("alpha_cap must lie in (0, 1]")
+    positive_fraction("alpha_cap", alpha_cap)
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
         eff = finite("h2 * P", h2 * P, ndim=1)
     if np.any(eff == 0):
@@ -185,8 +185,7 @@ def optimize_beta_dp(
     if h2.ndim != 1 or len(set(shapes)) != 1:
         raise ValueError(f"h2, P, eps, caps and alpha need one entry per user, got "
                          f"shapes {shapes}")
-    if not 0 < unit_interval("delta", delta) < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    open_unit_interval("delta", delta)
     nonnegative("sigma_z2", sigma_z2)
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
         eff = positive("h2 * P", h2 * P, ndim=1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
@@ -254,15 +253,15 @@ def monte_carlo_secrecy(
     A point with S = 0 has c_s = c_ev = c = +0.0 in every sample (checked
     once, _log2_cancels), so its three means are +0.0 without block work.
 
-    The gains are drawn block by block (channel.gain_blocks), so only one
-    n-sample array is held, and each block is handed out as soon as it is
-    drawn and its largest S h2 plus noise is checked.  One worker per CPU
-    this process may run on (os.sched_getaffinity, else os.cpu_count), at
-    most one per block, takes the blocks as they land, each in its own
-    buffer: threading.Threads from the start, and the calling thread once
-    the draw is done; numpy's ufuncs and normal draws release the GIL.  The
-    block sums are stored by block index and added in tree order, so every
-    worker count gives the same bits.  With one usable CPU no thread starts.
+    The gains are drawn block by block (channel.gain_blocks, whose n real
+    parts the calling thread draws), so only one n-sample array is held.
+    One worker per CPU this process may run on (os.sched_getaffinity, else
+    os.cpu_count), at most one per block, runs one loop in its own buffer:
+    under one lock, draw the next block and update the largest S h2 plus
+    noise; then, while that is finite, evaluate the block.  The calling
+    thread is one worker, so one usable CPU starts no thread; numpy releases
+    the GIL.  Blocks are drawn in a fixed order, and their sums are stored by
+    index and added in tree order, so every worker count gives the same bits.
     """
     n_samples = count("n_samples", n_samples)
     rng = np.random.default_rng(count("seed", seed, 0))
@@ -293,36 +292,30 @@ def monte_carlo_secrecy(
     workers = min(_cpu_count(), len(blocks))
     # allocated here, not in the threads, to keep the peak RSS down
     bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
+    leaves = enumerate(gain_blocks(n_samples, rng, blocks))  # draws the real parts
     args = (points, delta_hs, ev_noise, log2_ev_noise)
     leaf_sums = [None] * len(blocks)
-    landed = deque()  # (block index, gains) as drawn, then one None per worker
-    ready = threading.Semaphore(0)  # released once per entry of landed
+    pull = threading.Lock()  # held while a leaf is drawn and top_h2 updated
+    top_h2 = 0.0
     errors = []
 
     def work(w: int) -> None:
-        while ready.acquire() and (item := landed.popleft()) is not None:
-            if errors:
-                continue
-            i, x = item
-            try:
-                leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
+        nonlocal top_h2
+        try:
+            while not errors:
+                with pull:
+                    if (leaf := next(leaves, None)) is None:
+                        return
+                    i, x = leaf
+                    top_h2 = max(top_h2, float(x.max()))
+                if math.isfinite(top_S * top_h2 + top_noise):
+                    leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    top_h2 = 0.0
-    try:
-        for i, x in enumerate(gain_blocks(n_samples, rng, blocks)):
-            top_h2 = max(top_h2, float(x.max()))
-            if math.isfinite(top_S * top_h2 + top_noise):
-                landed.append((i, x))
-                ready.release()
-    except BaseException as exc:  # re-raised once every worker is joined
-        errors.append(exc)
-    landed.extend([None] * workers)
-    ready.release(workers)
     work(0)
     for thread in threads:
         thread.join()

@@ -13,14 +13,12 @@ from airfl.aircomp import (
     simulate_aggregation_rounds,
     simulate_round,
 )
-from airfl.channel import awgn
 from airfl.pcran import (
     PairSecret,
     Pairing,
     PowerAllocation,
     aggregate_noise_stats,
     compute_alignment,
-    draw_pcran,
     equalized_gain,
     noise_gains,
 )
@@ -68,26 +66,29 @@ def reference_clip(g, L_s):
 
 
 def reference_round(gradients, h2, alloc, pairing, secrets, sigma_z2, gen):
-    """Per-user aggregation round: clip -> draw_pcran -> equalize -> payload,
-    then z, summed as z first and users in index order."""
+    """Per-user aggregation round: clip -> PCR-AN draw -> equalize -> payload,
+    then z, summed as z first and users in index order.  A pair's positive
+    user draws N(mu, sigma2_pos) and its negative user N(-mu, sigma2_neg),
+    in user order, and z ~ N(0, sigma_z2) is drawn last, only if sigma_z2 > 0."""
     K, d = gradients.shape
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
-    roles = {}
+    laws = {}
     for i, (pos, neg) in enumerate(pairing.pairs):
-        roles[pos], roles[neg] = (i, "positive"), (i, "negative")
+        laws[pos] = (secrets[i].mu, secrets[i].sigma2_pos)
+        laws[neg] = (-secrets[i].mu, secrets[i].sigma2_neg)
     payloads = []
     for k in range(K):
         s_k = reference_clip(gradients[k], alloc.L_s)
-        i, role = roles[k]
-        n_k = draw_pcran(secrets[i], role, d, gen)
+        mean, var = laws[k]
+        n_k = gen.normal(mean, np.sqrt(var), size=d)
         if gains[k] > 0:
             n_k = n_k * (target / gains[k])
         h = np.sqrt(h2[k])
         sig_amp = h * np.sqrt(alloc.alpha[k] * alloc.P[k]) / alloc.L_s
         noise_amp = h * np.sqrt(alloc.beta[k] * alloc.P[k])
         payloads.append(sig_amp * s_k + noise_amp * n_k)
-    out = awgn(d, sigma_z2, gen).astype(float).copy()
+    out = gen.normal(0.0, np.sqrt(sigma_z2), size=d) if sigma_z2 > 0 else np.zeros(d)
     for payload in payloads:
         out += payload
     return out / (alloc.m * K)

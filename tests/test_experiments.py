@@ -265,10 +265,12 @@ class TestRunExperiment:
         assert all(row[3] == 0.0 for row in rows if row[0] == 0.0)
 
     def test_fig4_schema(self):
-        cfg = config_from_dict({"experiment": "fig4", "samples": 500})
-        header, rows = run_experiment(cfg)
-        assert header == ["p_db", "sigma_A2_db", "mean_c"]
-        assert len(rows) == 7 * 5
+        # fig4's alpha is the signal share, not an alignment cap: 0 (S = 0) runs
+        for alpha in (0.5, 0.0):
+            cfg = config_from_dict({"experiment": "fig4", "samples": 500, "alpha": alpha})
+            header, rows = run_experiment(cfg)
+            assert header == ["p_db", "sigma_A2_db", "mean_c"]
+            assert len(rows) == 7 * 5
 
     def test_fig5_noiseless_bound_column(self):
         cfg = config_from_dict({
@@ -558,17 +560,26 @@ class TestCli:
          "h2 * P must be a finite value, got array([7.37788225e+307, inf, 1.39837915e+308, "
          "2.94607130e+307, inf, 3.16248622e+307, inf, 8.41544871e+307, 5.25571298e+306, "
          "1.35286484e+308])"),
+        ({"experiment": "train", "alpha": 0.0, "T": 1, "d": 1, "n_per_user": 1},
+         "alpha must be a finite value in (0, 1], got 0.0"),
+        ({"experiment": "noise-check", "alpha": 0.0, "samples": 10},
+         "alpha must be a finite value in (0, 1], got 0.0"),
+        ({"experiment": "fig5", "splits": [[0.0, 0.5]], "T": 1},
+         "splits alpha must be a finite value in (0, 1], got 0.0"),
     ], ids=["fig5-lambda", "noise-M", "fig5-M", "train-overflow", "noise-mK-inf",
             "noise-mK-zero", "fig5-bound-inf", "noise-mK-subnormal", "noise-var-overflow",
-            "noise-var-inf", "fig5-array"])
+            "noise-var-inf", "fig5-array", "train-alpha-zero", "noise-alpha-zero",
+            "fig5-alpha-zero"])
     def test_finite_extreme_is_one_error_line(self, tmp_path, capsys, raw, message):
         # a float power raised OverflowError (a traceback) for the first
         # three, the fourth printed two numpy overflow warnings before its
         # error, the next two raised on (m K)^2 overflowing or divided by it
         # underflowed to 0, and the seventh warned twice and wrote an inf
         # bound; the three noise-checks after it wrote inf rows (a subnormal
-        # (m K)^2 divides to inf) or warned in the variance and exited 0, and
-        # the last printed its array over three lines
+        # (m K)^2 divides to inf) or warned in the variance and exited 0, the
+        # next printed its array over three lines, and the last three (an
+        # alignment cap of 0) loaded and then failed as "alpha_cap must lie in
+        # (0, 1]", a name the config does not have, without the value
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

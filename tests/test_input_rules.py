@@ -52,11 +52,14 @@ BAD = {
     "nonnegative": NOT_FINITE + [-1.0],
     "positive": NOT_FINITE + [-1.0, 0.0],
     "unit_interval": NOT_FINITE + [-1.0, 1.5],
+    "positive_fraction": NOT_FINITE + [-1.0, 0.0, 1.5],
+    "open_unit_interval": NOT_FINITE + [-1.0, 0.0, 1.0, 1.5],
     "count": NOT_FINITE + [-1, 2.5],
 }
 # a value each rule accepts, given inside a list where a number is expected
 GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
-        "unit_interval": 0.5, "count": 2}
+        "unit_interval": 0.5, "positive_fraction": 0.5, "open_unit_interval": 0.5,
+        "count": 2}
 # exported names with no numeric parameter of their own: records that the
 # entry points below check or return, and functions of data arrays; and
 # draw_noise, which runs once per noise block of a training run and takes
@@ -148,10 +151,10 @@ TABLE = [
      {"dim": "count"}, (), ()),
     ("compute_alignment", lambda h2=H2, P=np.ones(2), L_s=1.0, alpha_cap=0.5:
         compute_alignment(h2, P, L_s, alpha_cap),
-     {"h2": "nonnegative", "P": "positive", "L_s": "positive", "alpha_cap": "unit_interval"},
+     {"h2": "nonnegative", "P": "positive", "L_s": "positive", "alpha_cap": "positive_fraction"},
      ("h2", "P"), ()),
     ("optimize_beta_dp", beta_dp,
-     {"h2": "positive", "P": "positive", "eps": "positive", "delta": "unit_interval",
+     {"h2": "positive", "P": "positive", "eps": "positive", "delta": "open_unit_interval",
       "sigma_z2": "nonnegative", "caps": "nonnegative", "alpha": "unit_interval"},
      ("h2", "P", "eps", "caps", "alpha"), ()),
     ("aggregate_noise_stats", stats,
@@ -178,11 +181,11 @@ TABLE = [
     ("TrainSettings", lambda T=3, power=1.0: TrainSettings(T=T, power=power),
      {"T": "count", "power": "positive"}, (), ()),
     ("train_over_air", train,
-     {"L_s": "positive", "alpha_cap": "unit_interval", "beta": "unit_interval"}, (), ()),
+     {"L_s": "positive", "alpha_cap": "positive_fraction", "beta": "unit_interval"}, (), ()),
     ("centralized_gd", lambda L_s: centralized_gd(TASK, TrainSettings(T=3, L_s=L_s)),
      {"L_s": "positive"}, (), ()),
     ("draw_link", link,
-     {"K": "count", "power": "positive", "L_s": "positive", "alpha_cap": "unit_interval",
+     {"K": "count", "power": "positive", "L_s": "positive", "alpha_cap": "positive_fraction",
       "beta": "unit_interval"}, (), ()),
     ("secrecy_point", point,
      {"alpha_a": "unit_interval", "P_a": "nonnegative", "L_s": "positive",
@@ -207,13 +210,16 @@ TABLE = [
      {"k_grid": "count", "n_seeds": "count", "d": "count", "T": "count",
       "n_per_user": "count", "reg_lambda": "positive"}, (), ("k_grid",)),
     ("config-train", config("train"),
-     {"users": "count", "beta": "unit_interval"}, (), ()),
+     {"users": "count", "alpha": "positive_fraction", "beta": "unit_interval"}, (), ()),
+    ("config-noise-check", config("noise-check"),
+     {"users": "count", "alpha": "positive_fraction", "beta": "unit_interval"}, (), ()),
     ("config-fig5-splits", lambda alpha=0.5, beta=0.5: config("fig5")(splits=[[alpha, beta]]),
-     {"alpha": "unit_interval", "beta": "unit_interval"}, (), ()),
+     {"alpha": "positive_fraction", "beta": "unit_interval"}, (), ()),
 ]
 # the name a message gives a parameter, where it is not the parameter's own
 NAMED = {("config-fig3", "alpha_grid"): "alpha", ("aggregate_noise_stats", "m"): "constant m",
-         ("plan_link", "m"): "constant m"}
+         ("plan_link", "m"): "constant m", ("config-fig5-splits", "alpha"): "splits alpha",
+         ("config-fig5-splits", "beta"): "splits beta"}
 
 
 def cases():
@@ -235,7 +241,7 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
         value = [value]
     error = ConfigError if entry.startswith("config") else ValueError
     named = NAMED.get((entry, name), name)
-    with pytest.raises(error, match=rf"(^|\W){named} must"):
+    with pytest.raises(error, match=rf"(^|\W){named} must be"):
         call(**{name: value})
 
 
