@@ -96,7 +96,8 @@ def plan_link(
     users = sorted(u for pair in pairing.pairs for u in pair)
     if users != list(range(K)):
         raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
-    unit_interval("alpha", alloc.alpha, ndim=1)
+    if np.size(unit_interval("alpha", alloc.alpha, ndim=1)) != K:
+        raise ValueError(f"alpha needs one entry per user ({K}), got {np.size(alloc.alpha)}")
     positive("L_s", alloc.L_s)
     stats = aggregate_noise_stats(pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
     gains = noise_gains(h2, alloc.P, alloc.beta)
@@ -166,7 +167,8 @@ def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarra
 def round_kernel(plan: LinkPlan, d: int):
     """Build one run's aggregation round, for d-dimensional gradients.
 
-    Checks L_s and computes the sig_amp column and m * K once.  The returned
+    Checks L_s and computes m * K and sig_amp, repeated along each (K, d)
+    gradient row so that scaling needs no broadcast, once.  The returned
     round(gradients, noise) takes a (K, d) gradient buffer, which it clips and
     scales by sig_amp in place, and one (K + 1, d) round of :func:`draw_noise`,
     which it adds the payloads into.  It sums the rows from the receiver noise
@@ -176,7 +178,7 @@ def round_kernel(plan: LinkPlan, d: int):
     """
     L_s = positive("L_s", plan.L_s)
     K = len(plan.sig_amp)
-    sig_amp = plan.sig_amp[:, None]
+    sig_amp = np.repeat(plan.sig_amp[:, None], d, axis=1)
     mK = plan.m * K
     norm = np.empty((K, 1, 1))
     s_hat = np.empty(d)

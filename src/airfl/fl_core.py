@@ -130,17 +130,22 @@ def _gradients_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
 
 
 def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
-             squares: np.ndarray | None = None) -> float:
-    """The global loss at w from its residuals; `squares` is a work buffer of resid's shape."""
+             squares: np.ndarray | None = None) -> np.floating | np.ndarray:
+    """The global loss at w from its (K, n) residuals; or, for a (B, d) stack of
+    models and their (B, K, n) residuals, the (B,) array of their losses.
+    `squares` is a work buffer of resid's shape."""
     squares = np.multiply(resid, resid, out=squares)
-    # add.reduce / size is the sum and divide np.mean runs, minus its dispatch
-    return float(0.5 * (float(np.add.reduce(squares, axis=None)) / resid.size)
-                 + 0.5 * task.reg_lambda * float(w @ w))
+    # add.reduce over the last axis of the (..., K n) view sums each model's
+    # squares as a whole-array add.reduce does; / size is the divide np.mean runs
+    sums = np.add.reduce(squares.reshape(resid.shape[:-2] + (-1,)), axis=-1)
+    # the stacked vector @ vector matmul runs w @ w's dot routine
+    ww = np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
+    return 0.5 * (sums / task.V.size) + 0.5 * task.reg_lambda * ww
 
 
 def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
     """Mean per-point regularized squared error over the pooled dataset."""
-    return _loss_at(_residual(w, task), w, task)
+    return float(_loss_at(_residual(w, task), w, task))
 
 
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
@@ -244,12 +249,18 @@ def train_over_air(
     The channel is sampled once (time-invariant link), pairs and secrets are
     formed once, and each round clips the local gradients, transmits them
     with PCR-AN, and applies the global update w <- w - s_hat / (lam t).  The
-    round kernel and the buffers are set up once per run, and each round
-    computes in place.  Noise is drawn ahead in blocks of at most
-    _NOISE_BLOCK doubles (see draw_noise).
+    round kernel and the buffers are set up once per run.  Noise is drawn
+    ahead in blocks of at most _NOISE_BLOCK doubles (see draw_noise).  A
+    round computes in place only what the next round reads, w_t and its
+    residuals, into a row of the per-run batch buffers; the losses, the gaps
+    and the divergence guard are evaluated once per batch of rounds.  A
+    batch takes at most half a noise block's doubles, counting a round as its
+    noise ((K + 1) d) or its residuals (K n), whichever is more, so that a
+    batch's residuals and models together hold at most _NOISE_BLOCK doubles
+    (or one round's, if that is more).
     Returns the trajectory plus the bound inputs matching the realized run.
     """
-    K, d = task.K, task.d
+    K, d, T, lam = task.K, task.d, settings.T, task.reg_lambda
     h2, alloc, pairing, secrets = draw_link(
         channel_config, K, settings.power, settings.L_s, settings.alpha_cap,
         settings.beta, rng,
@@ -257,36 +268,49 @@ def train_over_air(
     plan = plan_link(h2, alloc, pairing, secrets, channel_config.sigma_z2)
     aggregate = round_kernel(plan, d)
 
-    state = TrainState(w=np.zeros(d))
-    w, losses, gaps = state.w, state.loss_history, state.gap_history
     f_star = global_loss(optimal_model(task), task)
-    # one residual per round serves the loss at w_t and round t+1's gradients
-    resid = _residual(w, task)
+    per_block = max(1, _NOISE_BLOCK // ((K + 1) * d))
+    per_batch = max(1, (_NOISE_BLOCK // 2) // max((K + 1) * d, task.V.size))
+    batch_w, batch_resid = np.zeros((per_batch, d)), np.empty((per_batch,) + task.V.shape)
+    grads, lam_w = np.empty((K, d)), np.empty(d)
+    # one residual per round serves the loss at w_t and round t+1's
+    # gradients; the zero model and its residual take the rows that the
+    # first batch's last round overwrites
+    w = batch_w[-1]
+    resid = _residual(w, task, batch_resid[-1])
     # the 1/(lam t) schedule makes a large t=1 step intrinsic, so the
     # divergence guard anchors at the post-first-step loss
-    guard_ref = _loss_at(resid, w, task)
-    per_block = max(1, _NOISE_BLOCK // ((K + 1) * d))
-
-    # each round computes the gradients and the loss in place: w, resid and
-    # these buffers are overwritten every round
-    grads, lam_w, squares = np.empty((K, d)), np.empty(d), np.empty(resid.shape)
-    # an overflow makes the loss non-finite, which the guard rejects
+    guard_ref = float(_loss_at(resid, w, task))
+    rows = list(zip(batch_w, batch_resid))
+    # each round's (K + 1, d) noise, from blocks drawn as the rounds reach them
+    noise = (z for start in range(1, T + 1, per_block)
+             for z in draw_noise(plan, min(per_block, T + 1 - start), d, rng))
+    losses, gaps = [], []
+    # an overflow makes the loss non-finite, which the guard rejects; the
+    # rounds after it in its batch compute on without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, settings.T + 1):
-            if (t - 1) % per_block == 0:
-                block = iter(draw_noise(plan, min(per_block, settings.T + 1 - t), d, rng))
-            s_hat = aggregate(_gradients_at(resid, w, task, grads, lam_w), next(block))
-            s_hat *= 1.0 / (task.reg_lambda * t)
-            w -= s_hat
-            loss = _loss_at(_residual(w, task, resid), w, task, squares)
-            losses.append(loss)
-            gaps.append(loss - f_star)
-            if not math.isfinite(loss):
-                raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
-            if t == 1:
-                guard_ref = max(guard_ref, loss)
-            elif loss > DIVERGENCE_FACTOR * max(guard_ref, 1e-12):
-                raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
+        for start in range(1, T + 1, per_batch):
+            b = min(per_batch, T + 1 - start)
+            for t, (w_t, resid_t), z in zip(range(start, start + b), rows, noise):
+                s_hat = aggregate(_gradients_at(resid, w, task, grads, lam_w), z)
+                s_hat *= 1.0 / (lam * t)
+                w = np.subtract(w, s_hat, out=w_t)
+                resid = _residual(w, task, resid_t)
+            # the batch's residuals are squared in place, so the last round's
+            # are computed again for the next round's gradients
+            batch = _loss_at(batch_resid[:b], batch_w[:b], task, batch_resid[:b])
+            resid = _residual(w, task, resid)
+            batch_losses = batch.tolist()
+            for t, loss in enumerate(batch_losses, start):
+                if not math.isfinite(loss):
+                    raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
+                if t == 1:
+                    guard_ref = max(guard_ref, loss)
+                elif loss > DIVERGENCE_FACTOR * max(guard_ref, 1e-12):
+                    raise RuntimeError(f"training diverged at iteration {t} (loss {loss:.3e})")
+            losses += batch_losses
+            gaps += (batch - f_star).tolist()
+    state = TrainState(w=w.copy(), loss_history=losses, gap_history=gaps)
 
     bound_inputs = BoundInputs(
         mu=task.mu,

@@ -141,6 +141,8 @@ def compute_alignment(
     """
     h2 = np.asarray(nonnegative("h2", h2, ndim=1), dtype=float)
     P = np.asarray(positive("P", P, ndim=1), dtype=float)
+    if h2.size != P.size:
+        raise ValueError(f"h2 and P need one entry per user, got {h2.size} and {P.size} entries")
     positive("L_s", L_s)
     positive_fraction("alpha_cap", alpha_cap)
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
@@ -238,6 +240,11 @@ def aggregate_noise_stats(
     nonnegative("sigma_z2", sigma_z2)
     positive("alignment constant m", m)
     K = pairing.num_users
+    sizes = [np.size(h2), np.size(P), np.size(beta)]
+    if sizes != [K] * 3:
+        # an unpaired user's gain would set the common noise gain c
+        raise ValueError(f"h2, P and beta need one entry per paired user ({K}), got "
+                         f"{sizes[0]}, {sizes[1]} and {sizes[2]} entries")
     c = equalized_gain(noise_gains(h2, P, beta))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
     M = float(sum(c for _ in pairing.pairs) / (m * K))

@@ -187,9 +187,31 @@ def test_gaussian_draws_share_one_helper_and_block():
 
 def test_training_formulas_are_written_once():
     # the round loop and the public global_loss and all_local_gradients share
-    # fl_core's private helpers, so the gradient einsum, the residual U @ w - V
-    # and the loss's squared-residual sum each appear once in src/airfl
-    found = {"einsum": [], "residual": [], "squared sum": []}
+    # fl_core's private helpers, so the gradient einsum, the residual U @ w - V,
+    # the loss's squaring of the residuals and its sum of them (a reduce over
+    # the whole array or over the last axis of a stack) each appear once in
+    # src/airfl
+    found = {"einsum": [], "residual": [], "squared residual": [], "squared sum": []}
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+    def squares_residual(node):
+        if isinstance(node, ast.Call) and name(node.func) == "multiply" and len(node.args) >= 2:
+            a, b = node.args[:2]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            a, b = node.left, node.right
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            a = b = node.left
+        else:
+            return False
+        return "resid" in name(a) and name(a) == name(b)
+
+    def whole_or_last_axis(keyword):
+        try:
+            return keyword.arg == "axis" and ast.literal_eval(keyword.value) in (None, -1)
+        except ValueError:
+            return False
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -200,9 +222,10 @@ def test_training_formulas_are_written_once():
             subtrahend = node.right if isinstance(node, ast.BinOp) else node.value
             if "V" in (getattr(subtrahend, "id", None), getattr(subtrahend, "attr", None)):
                 found["residual"].append(where)
+        if squares_residual(node):
+            found["squared residual"].append(where)
         if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduce"
-                and any(k.arg == "axis" and getattr(k.value, "value", 0) is None
-                        for k in node.keywords)):
+                and any(whole_or_last_axis(k) for k in node.keywords)):
             found["squared sum"].append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -210,6 +233,7 @@ def test_training_formulas_are_written_once():
     for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == {"einsum": ["fl_core._gradients_at"], "residual": ["fl_core._residual"],
+                     "squared residual": ["fl_core._loss_at"],
                      "squared sum": ["fl_core._loss_at"]}
 
 

@@ -1,4 +1,7 @@
 import inspect
+import math
+import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -195,6 +198,30 @@ def reference_train(task, chan, settings, gen, secret_draw):
     return w, losses, gaps
 
 
+def ascent_kernel(plan, d):
+    """A round that returns the negated mean gradient, which turns every step
+    into gradient ascent."""
+    return lambda grads, noise: -grads.mean(axis=0)
+
+
+def reference_divergence(task, T):
+    """The round and message at which train_over_air's divergence guard trips
+    on the ascent kernel's trajectory, checked round by round from the public
+    loss."""
+    w = np.zeros(task.d)
+    guard_ref = global_loss(w, task)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            w = w - 1.0 / (task.reg_lambda * t) * -all_local_gradients(w, task).mean(axis=0)
+            loss = global_loss(w, task)
+            limit = fl_core.DIVERGENCE_FACTOR * max(guard_ref, 1e-12)
+            if not math.isfinite(loss) or (t > 1 and loss > limit):
+                return t, f"training diverged at iteration {t} (loss {loss:.3e})"
+            if t == 1:
+                guard_ref = max(guard_ref, loss)
+    raise AssertionError(f"no divergence in {T} rounds")
+
+
 class TestTrainOverAir:
     @pytest.mark.parametrize("K, d", [(2, 5), (6, 5), (2, 1), (6, 1)],
                              ids=["2", "6", "2-d1", "6-d1"])
@@ -277,18 +304,89 @@ class TestTrainOverAir:
         assert np.mean(gaps) <= np.mean(bounds)
 
     def test_divergence_guard_trips(self, monkeypatch):
-        # a round that returns the negated mean gradient turns every step
-        # into gradient ascent, so the loss passes DIVERGENCE_FACTOR times its
-        # reference while it is still finite
-        def ascent(plan, d):
-            return lambda grads, noise: -grads.mean(axis=0)
-
-        monkeypatch.setattr(fl_core, "round_kernel", ascent)
+        # gradient ascent passes DIVERGENCE_FACTOR times the reference loss
+        # while the loss is still finite
+        monkeypatch.setattr(fl_core, "round_kernel", ascent_kernel)
         task = small_task(6, K=2, lam=0.1)
         settings = TrainSettings(T=5000, beta=0.0, alpha_cap=1.0, power=1.0)
         chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         with pytest.raises(RuntimeError, match=r"diverged at iteration \d+ \(loss \d\.\d{3}e\+\d+\)"):
             train_over_air(task, chan, settings, rng(3))
+
+    @pytest.mark.parametrize("n, lam, batch_rounds, t_div", [
+        (10, 0.1, 10, 24), (10, 0.1, 23, 24), (1, 1e-300, 10, 1)],
+        ids=["mid-batch", "first-of-batch", "inf-at-1"])
+    def test_divergence_inside_a_batch(self, n, lam, batch_rounds, t_div, monkeypatch):
+        # the guard walks a batch's losses in round order: it names the first
+        # round that trips it, as a round-by-round guard does, whether that
+        # round is inside a batch (rounds 21..30), first in one (24..46), or
+        # round 1, whose loss is inf (a 1/lam = 1e300 step); the rounds after
+        # it in its batch run on into overflow and NaN without a warning
+        K, d = 2, 5
+        monkeypatch.setattr(fl_core, "round_kernel", ascent_kernel)
+        monkeypatch.setattr(fl_core, "_NOISE_BLOCK", 2 * batch_rounds * max((K + 1) * d, K * n))
+        task = make_task(K, n, d, lam, rng(6))
+        t, message = reference_divergence(task, 200)
+        assert t == t_div
+        settings = TrainSettings(T=200, beta=0.0, alpha_cap=1.0, power=1.0)
+        chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as excinfo:
+                train_over_air(task, chan, settings, rng(3))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("K, sizes", [(2, [200, 200, 100]), (6, [257, 243])])
+    def test_batches_end_inside_noise_blocks(self, K, sizes, monkeypatch):
+        # at d = 1 and n = 50 a round's residuals (K n doubles) outnumber its
+        # noise ((K + 1) d), so a batch holds fewer rounds than a noise block:
+        # blocks of 6 K n doubles give batches of 3 rounds, and noise blocks
+        # of 200 (K = 2) or 257 (K = 6) rounds, which no batch boundary meets
+        monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
+        task = small_task(12, K=K, n=50, d=1, lam=0.1)
+        settings = TrainSettings(T=500, power=100.0, beta=0.5)
+        chan = ChannelConfig(sigma_z2=1.0)
+        gen_ref = rng(13)
+        w, losses, gaps = reference_train(task, chan, settings, gen_ref, varied_secrets)
+        monkeypatch.setattr(fl_core, "_NOISE_BLOCK", 6 * K * 50)
+        blocks, batches = [], []
+
+        def recorded(plan, rounds, d, gen):
+            blocks.append(rounds)
+            return draw_noise(plan, rounds, d, gen)
+
+        def batch_loss(resid, w, task, squares=None):
+            if resid.ndim == 3:
+                batches.append(len(resid))
+            return loss_at(resid, w, task, squares)
+
+        loss_at = fl_core._loss_at
+        monkeypatch.setattr(fl_core, "draw_noise", recorded)
+        monkeypatch.setattr(fl_core, "_loss_at", batch_loss)
+        gen_train = rng(13)
+        state, _ = train_over_air(task, chan, settings, gen_train)
+        assert blocks == sizes
+        assert batches == [3] * 166 + [2]
+        assert np.array_equal(state.loss_history, losses)
+        assert np.array_equal(state.gap_history, gaps)
+        assert np.array_equal(state.w, w)
+        assert gen_train.bit_generator.state == gen_ref.bit_generator.state
+
+    def test_batch_of_one_large_round(self):
+        # K n = 20 000 residuals exceed a noise block (2^14 doubles), so a
+        # batch is one round: the run holds that round's residuals (squared
+        # in place) and at most one more round's worth (the squares of the
+        # zero model's loss) and a noise block's draw, never a batch of
+        # rounds (100 rounds would be 16 MB)
+        task = make_task(2, 10_000, 1, 0.1, rng(0))
+        assert task.V.size > fl_core._NOISE_BLOCK
+        tracemalloc.start()
+        try:
+            train_over_air(task, ChannelConfig(sigma_z2=1.0), TrainSettings(T=100), rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * task.V.size + 2 * fl_core._NOISE_BLOCK)
 
     def test_first_step_spike_not_divergence(self):
         # eta_1 = 1/lam makes a huge transient step; the guard must

@@ -248,7 +248,8 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
 @pytest.mark.parametrize("call, match", [
     # inputs the tables do not build: a negative h2 and P whose product is
     # positive, a wrong-length alpha (numpy's broadcast error), products that
-    # overflow (numpy's overflow warning came first) and a ragged list
+    # overflow (numpy's overflow warning came first), a ragged list and
+    # per-user arrays of the wrong length
     (lambda: beta_dp(h2=np.array([-1.0, -2.0]), P=np.array([-100.0, -100.0])),
      "h2 must be a finite positive value"),
     (lambda: beta_dp(alpha=np.zeros(3)), "and alpha need one entry per user"),
@@ -261,8 +262,29 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
     # numpy wraps a long array's repr, which split the CLI's one error line
     (lambda: compute_alignment(np.full(40, 1e200), np.full(40, 1e200), 1.0),
      r"^h2 \* P must be a finite value, got array\(\[inf, [^\n]*\]\)$"),
+    # per-user arrays that do not fit the pairing: an unpaired third gain set
+    # the common noise gain (M = 0.0354 where the pair alone gives 0.354),
+    # and unequal lengths raised numpy's unnamed broadcast error
+    (lambda: stats(h2=np.array([1.0, 2.0, 0.01]), P=np.ones(3), beta=np.full(3, 0.5)),
+     r"^h2, P and beta need one entry per paired user \(2\), got 3, 3 and 3 entries$"),
+    (lambda: stats(h2=np.array([1.0, 2.0, 0.01])),
+     r"^h2, P and beta need one entry per paired user \(2\), got 3, 2 and 2 entries$"),
+    (lambda: stats(P=np.ones(3)), r"got 2, 3 and 2 entries$"),
+    (lambda: stats(beta=np.full(1, 0.5)), r"got 2, 2 and 1 entries$"),
+    (lambda: stats(P=1.0, beta=0.5), r"got 2, 1 and 1 entries$"),
+    (lambda: plan(P=np.ones(3)), r"^h2, P and beta need one entry per paired user"),
+    # a one-entry alpha broadcast to every user, unequal signal amplitudes
+    (lambda: plan(alpha=np.array([0.9])), r"^alpha needs one entry per user \(2\), got 1$"),
+    (lambda: plan(alpha=np.full(3, 0.5)), r"^alpha needs one entry per user \(2\), got 3$"),
+    (lambda: compute_alignment(np.ones(3), np.ones(2), 1.0),
+     r"^h2 and P need one entry per user, got 3 and 2 entries$"),
+    (lambda: compute_alignment(np.ones(2), np.ones(3), 1.0),
+     r"^h2 and P need one entry per user, got 2 and 3 entries$"),
 ], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
-        "ragged-list", "long-array"])
+        "ragged-list", "long-array", "stats-unpaired-user", "stats-h2-length",
+        "stats-P-length", "stats-beta-length", "stats-scalars", "plan-P-length",
+        "plan-alpha-one-entry", "plan-alpha-length",
+        "alignment-h2-length", "alignment-P-length"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
