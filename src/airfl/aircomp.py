@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from ._checks import count, positive, unit_interval
+from ._checks import count, finite, positive, unit_interval
 from .channel import awgn  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
 from .pcran import (
     NoiseStats,
@@ -75,7 +75,13 @@ def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     """
     positive("L_s", L_s)
     g = np.array(g, dtype=float)
-    return _clip(g, L_s, np.empty(g.shape[:-1] + (1, 1)))
+    finite("gradient", g, ndim=g.ndim)
+    # a squared norm that overflows would clip the gradient to 0, not to L_s
+    norm = np.empty(g.shape[:-1] + (1, 1))
+    with np.errstate(over="ignore"):
+        np.matmul(g[..., None, :], g[..., :, None], out=norm)
+    finite("squared norm of gradient", norm[..., 0, 0], ndim=g.ndim)
+    return _clip(g, L_s, norm)
 
 
 def plan_link(
@@ -126,7 +132,8 @@ def plan_link(
     )
 
 
-# doubles of received noise drawn at once (128 KB)
+# doubles of received noise that noise-check draws at once (128 KB); a
+# training batch draws at most half as many (see train_over_air)
 _NOISE_BLOCK = 1 << 14
 
 
@@ -145,21 +152,19 @@ def _gaussian(rng: Generator, loc, scale, out: np.ndarray) -> np.ndarray:
 
 
 def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarray:
-    """Received noise of a block of rounds, shape (rounds, K + 1, d).
+    """Received noise of a batch of rounds, shape (rounds, K + 1, d).
 
     Row 0 of a round is the receiver noise (zeros when sigma_z2 = 0), row
     1 + k user k's PCR-AN as received, noise_amp_k * equalize_k * n_k.  One
     Gaussian fill reads each round's users in index order, then its receiver
-    row; standard_normal keeps no state between calls, so a block of R rounds
-    reads what R one-round blocks do.
+    row; standard_normal keeps no state between calls, so a batch of R rounds
+    reads what R one-round batches do.
     """
     K = len(plan.sig_amp)
     z = _gaussian(rng, plan.loc, plan.scale, np.empty((rounds, len(plan.scale), d)))
     slab = np.empty((rounds, K + 1, d))
     slab[:, 0] = z[:, K] if plan.sigma_z2 > 0 else 0.0
-    noise = slab[:, 1:]
-    noise[...] = z[:, :K]
-    noise *= plan.equalize[:, None]
+    noise = np.multiply(z[:, :K], plan.equalize[:, None], out=slab[:, 1:])
     noise *= plan.noise_amp[:, None]
     return slab
 
@@ -238,7 +243,10 @@ def simulate_aggregation_rounds(
     """
     count("n_rounds", n_rounds)
     plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
-    K, d = gradients.shape
+    K, shape = len(plan.sig_amp), np.shape(gradients)
+    if len(shape) != 2 or shape[0] != K or shape[1] < 1:
+        raise ValueError(f"gradients must have shape (K, d) with K = {K}, d >= 1, got {shape}")
+    d = shape[1]
     signal = plan.sig_amp @ clip_gradient(gradients, plan.L_s)  # (d,)
     c = equalized_gain(plan.gains)
     # receiver sees c * n_k per user; draw the scaled noise directly

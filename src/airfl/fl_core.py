@@ -129,12 +129,10 @@ def _gradients_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
     return grads
 
 
-def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask,
-             squares: np.ndarray | None = None) -> np.floating | np.ndarray:
+def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> np.floating | np.ndarray:
     """The global loss at w from its (K, n) residuals; or, for a (B, d) stack of
-    models and their (B, K, n) residuals, the (B,) array of their losses.
-    `squares` is a work buffer of resid's shape."""
-    squares = np.multiply(resid, resid, out=squares)
+    models and their (B, K, n) residuals, the (B,) array of their losses."""
+    squares = resid * resid
     # add.reduce over the last axis of the (..., K n) view sums each model's
     # squares as a whole-array add.reduce does; / size is the divide np.mean runs
     sums = np.add.reduce(squares.reshape(resid.shape[:-2] + (-1,)), axis=-1)
@@ -249,15 +247,14 @@ def train_over_air(
     The channel is sampled once (time-invariant link), pairs and secrets are
     formed once, and each round clips the local gradients, transmits them
     with PCR-AN, and applies the global update w <- w - s_hat / (lam t).  The
-    round kernel and the buffers are set up once per run.  Noise is drawn
-    ahead in blocks of at most _NOISE_BLOCK doubles (see draw_noise).  A
-    round computes in place only what the next round reads, w_t and its
-    residuals, into a row of the per-run batch buffers; the losses, the gaps
-    and the divergence guard are evaluated once per batch of rounds.  A
-    batch takes at most half a noise block's doubles, counting a round as its
-    noise ((K + 1) d) or its residuals (K n), whichever is more, so that a
-    batch's residuals and models together hold at most _NOISE_BLOCK doubles
-    (or one round's, if that is more).
+    round kernel and the buffers are set up once per run.  The rounds run in
+    batches of at most _NOISE_BLOCK / 2 (2^13) doubles, counting a round as
+    its noise ((K + 1) d) or its residuals (K n), whichever is more, or of
+    one round if that alone is more.  A batch draws its noise with one
+    draw_noise call, and each of its rounds computes in place only what the
+    next round reads, w_t and its residuals, into a row of the per-run batch
+    buffers; the batch's losses, gaps and divergence guard are then
+    evaluated at once.
     Returns the trajectory plus the bound inputs matching the realized run.
     """
     K, d, T, lam = task.K, task.d, settings.T, task.reg_lambda
@@ -269,7 +266,6 @@ def train_over_air(
     aggregate = round_kernel(plan, d)
 
     f_star = global_loss(optimal_model(task), task)
-    per_block = max(1, _NOISE_BLOCK // ((K + 1) * d))
     per_batch = max(1, (_NOISE_BLOCK // 2) // max((K + 1) * d, task.V.size))
     batch_w, batch_resid = np.zeros((per_batch, d)), np.empty((per_batch,) + task.V.shape)
     grads, lam_w = np.empty((K, d)), np.empty(d)
@@ -282,24 +278,19 @@ def train_over_air(
     # divergence guard anchors at the post-first-step loss
     guard_ref = float(_loss_at(resid, w, task))
     rows = list(zip(batch_w, batch_resid))
-    # each round's (K + 1, d) noise, from blocks drawn as the rounds reach them
-    noise = (z for start in range(1, T + 1, per_block)
-             for z in draw_noise(plan, min(per_block, T + 1 - start), d, rng))
     losses, gaps = [], []
     # an overflow makes the loss non-finite, which the guard rejects; the
     # rounds after it in its batch compute on without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, T + 1, per_batch):
             b = min(per_batch, T + 1 - start)
+            noise = draw_noise(plan, b, d, rng)
             for t, (w_t, resid_t), z in zip(range(start, start + b), rows, noise):
                 s_hat = aggregate(_gradients_at(resid, w, task, grads, lam_w), z)
                 s_hat *= 1.0 / (lam * t)
                 w = np.subtract(w, s_hat, out=w_t)
                 resid = _residual(w, task, resid_t)
-            # the batch's residuals are squared in place, so the last round's
-            # are computed again for the next round's gradients
-            batch = _loss_at(batch_resid[:b], batch_w[:b], task, batch_resid[:b])
-            resid = _residual(w, task, resid)
+            batch = _loss_at(batch_resid[:b], batch_w[:b], task)
             batch_losses = batch.tolist()
             for t, loss in enumerate(batch_losses, start):
                 if not math.isfinite(loss):

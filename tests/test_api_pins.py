@@ -162,12 +162,17 @@ def test_import_loads_no_process_pools():
 
 def test_gaussian_draws_share_one_helper_and_block():
     # training noise and the noise-check Monte Carlo draw every Gaussian
-    # through aircomp._gaussian, in blocks of the one aircomp._NOISE_BLOCK
+    # through aircomp._gaussian, in blocks of the one aircomp._NOISE_BLOCK;
+    # training has one stride, its batch, so fl_core reads _NOISE_BLOCK once
+    # (the batch size) and calls draw_noise once (each batch's noise)
     def mentions(node, name):
         return sum(getattr(n, "attr", None) == name or getattr(n, "id", None) == name
                    for n in ast.walk(node))
 
-    draws, blocks, imports = {}, [], []
+    def calls(node, name):
+        return sum(isinstance(n, ast.Call) and mentions(n.func, name) for n in ast.walk(node))
+
+    draws, blocks, imports, training = {}, [], [], {}
     for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if mentions(tree, "standard_normal"):
@@ -180,9 +185,13 @@ def test_gaussian_draws_share_one_helper_and_block():
                 blocks.append(path.stem)
             if isinstance(node, ast.ImportFrom) and "_NOISE_BLOCK" in [a.name for a in node.names]:
                 imports.append((path.stem, node.module))
+        if path.stem == "fl_core":
+            training = {"_NOISE_BLOCK": mentions(tree, "_NOISE_BLOCK"),
+                        "draw_noise": calls(tree, "draw_noise")}
     assert draws == {"aircomp": 1, "aircomp._gaussian": 1}
     assert blocks == ["aircomp"]
     assert imports == [("fl_core", "aircomp")]
+    assert training == {"_NOISE_BLOCK": 1, "draw_noise": 1}
 
 
 def test_training_formulas_are_written_once():

@@ -250,12 +250,14 @@ class TestTrainOverAir:
             return round_kernel(plan, d)
 
         monkeypatch.setattr(fl_core, "round_kernel", counted)
-        # the module's block holds all 40 rounds; blocks of 7 rounds end on a
-        # short block of 5; blocks of 1 round draw round by round.  fl_core
-        # imports _NOISE_BLOCK from aircomp, and train_over_air reads fl_core's
-        for block_rounds, sizes in ((None, [40]), (7, [7] * 5 + [5]), (1, [1] * 40)):
-            if block_rounds is not None:
-                monkeypatch.setattr(fl_core, "_NOISE_BLOCK", block_rounds * (K + 1) * task.d)
+        # the module's block gives one batch of all 40 rounds; batches of 7
+        # rounds end on a short batch of 5; batches of 1 round draw round by
+        # round, and each batch draws its own noise.  fl_core imports
+        # _NOISE_BLOCK from aircomp, and train_over_air reads fl_core's
+        for batch_rounds, sizes in ((None, [40]), (7, [7] * 5 + [5]), (1, [1] * 40)):
+            if batch_rounds is not None:
+                monkeypatch.setattr(fl_core, "_NOISE_BLOCK",
+                                    2 * batch_rounds * max((K + 1) * task.d, task.V.size))
             blocks.clear()
             kernels.clear()
             gen_train = rng(13)
@@ -336,12 +338,11 @@ class TestTrainOverAir:
                 train_over_air(task, chan, settings, rng(3))
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("K, sizes", [(2, [200, 200, 100]), (6, [257, 243])])
+    @pytest.mark.parametrize("K, sizes", [(2, [3] * 166 + [2]), (6, [3] * 166 + [2])])
     def test_batches_end_inside_noise_blocks(self, K, sizes, monkeypatch):
         # at d = 1 and n = 50 a round's residuals (K n doubles) outnumber its
-        # noise ((K + 1) d), so a batch holds fewer rounds than a noise block:
-        # blocks of 6 K n doubles give batches of 3 rounds, and noise blocks
-        # of 200 (K = 2) or 257 (K = 6) rounds, which no batch boundary meets
+        # noise ((K + 1) d), so they set the batch: blocks of 6 K n doubles
+        # give batches of 3 rounds, and each batch draws its 3 rounds' noise
         monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
         task = small_task(12, K=K, n=50, d=1, lam=0.1)
         settings = TrainSettings(T=500, power=100.0, beta=0.5)
@@ -355,18 +356,17 @@ class TestTrainOverAir:
             blocks.append(rounds)
             return draw_noise(plan, rounds, d, gen)
 
-        def batch_loss(resid, w, task, squares=None):
+        def batch_loss(resid, w, task):
             if resid.ndim == 3:
                 batches.append(len(resid))
-            return loss_at(resid, w, task, squares)
+            return loss_at(resid, w, task)
 
         loss_at = fl_core._loss_at
         monkeypatch.setattr(fl_core, "draw_noise", recorded)
         monkeypatch.setattr(fl_core, "_loss_at", batch_loss)
         gen_train = rng(13)
         state, _ = train_over_air(task, chan, settings, gen_train)
-        assert blocks == sizes
-        assert batches == [3] * 166 + [2]
+        assert blocks == batches == sizes
         assert np.array_equal(state.loss_history, losses)
         assert np.array_equal(state.gap_history, gaps)
         assert np.array_equal(state.w, w)
@@ -374,10 +374,9 @@ class TestTrainOverAir:
 
     def test_batch_of_one_large_round(self):
         # K n = 20 000 residuals exceed a noise block (2^14 doubles), so a
-        # batch is one round: the run holds that round's residuals (squared
-        # in place) and at most one more round's worth (the squares of the
-        # zero model's loss) and a noise block's draw, never a batch of
-        # rounds (100 rounds would be 16 MB)
+        # batch is one round: the run holds that round's residuals, their
+        # squares and the batch's noise draw, never a batch of rounds (100
+        # rounds would be 16 MB)
         task = make_task(2, 10_000, 1, 0.1, rng(0))
         assert task.V.size > fl_core._NOISE_BLOCK
         tracemalloc.start()

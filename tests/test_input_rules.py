@@ -62,7 +62,7 @@ GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
         "count": 2}
 # exported names with no numeric parameter of their own: records that the
 # entry points below check or return, and functions of data arrays; and
-# draw_noise, which runs once per noise block of a training run and takes
+# draw_noise, which runs once per batch of a training run and takes
 # its counts from checked settings, so it checks nothing
 EXEMPT = {
     "BetaAllocation", "LinkPlan", "NoiseStats", "SecrecyPoint", "SweepResult",
@@ -95,6 +95,10 @@ def plan(h2=H2, sigma_z2=1.0, **alloc):
 
 def stats(h2=H2, P=ALLOC.P, beta=ALLOC.beta, m=M, sigma_z2=1.0):
     return aggregate_noise_stats(PAIRING, SECRETS, h2, P, beta, m, sigma_z2)
+
+
+def rounds(gradients):
+    return simulate_aggregation_rounds(gradients, H2, ALLOC, PAIRING, SECRETS, 1.0, 2, rng())
 
 
 def beta_dp(h2=H2, P=np.ones(2), eps=np.ones(2), delta=0.1, sigma_z2=1.0,
@@ -280,11 +284,31 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
      r"^h2 and P need one entry per user, got 3 and 2 entries$"),
     (lambda: compute_alignment(np.ones(2), np.ones(3), 1.0),
      r"^h2 and P need one entry per user, got 2 and 3 entries$"),
+    # gradient arrays that do not fit the link: d = 0 divided by zero, a 1-D
+    # array failed to unpack and a short one raised numpy's matmul error
+    (lambda: rounds(np.zeros((2, 0))),
+     r"^gradients must have shape \(K, d\) with K = 2, d >= 1, got \(2, 0\)$"),
+    (lambda: rounds(np.zeros(2)), r"^gradients must have shape .*, got \(2,\)$"),
+    (lambda: rounds(np.zeros((3, 1))), r"^gradients must have shape .*, got \(3, 1\)$"),
+    # gradients the clip cannot scale to norm L_s: NaN came back as NaN, inf
+    # as NaN, and a squared norm that overflows clipped [1e200, 0] to [0, 0]
+    (lambda: clip_gradient(np.array([math.nan, 0.0]), 1.0), r"^gradient must be a finite value"),
+    (lambda: clip_gradient(np.array([math.inf, 0.0]), 1.0), r"^gradient must be a finite value"),
+    (lambda: clip_gradient(np.array([[1.0, 0.0], [0.0, -math.inf]]), 1.0),
+     r"^gradient must be a finite value"),
+    (lambda: clip_gradient(np.array([1e200, 0.0]), 1.0),
+     r"^squared norm of gradient must be a finite value, got array\(inf\)$"),
+    (lambda: rounds(np.array([[1.0, 0.0], [1e200, 0.0]])),
+     r"^squared norm of gradient must be a finite value, got array\(\[ *1\., inf\]\)$"),
+    (lambda: centralized_gd(replace(TASK, V=np.full((2, 3), math.nan)), TrainSettings(T=1)),
+     r"^gradient must be a finite value"),
 ], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
         "ragged-list", "long-array", "stats-unpaired-user", "stats-h2-length",
         "stats-P-length", "stats-beta-length", "stats-scalars", "plan-P-length",
         "plan-alpha-one-entry", "plan-alpha-length",
-        "alignment-h2-length", "alignment-P-length"])
+        "alignment-h2-length", "alignment-P-length",
+        "rounds-no-dimensions", "rounds-1d", "rounds-short", "clip-nan", "clip-inf",
+        "clip-minus-inf", "clip-norm-overflow", "rounds-norm-overflow", "centralized-nan"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

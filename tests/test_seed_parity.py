@@ -52,10 +52,15 @@ def _training(experiment, **keys):
         "experiment": st.just(experiment),
         "seed": _seed,
         "powers_db": _grid(_db, 1),
-        "d": st.integers(1, 4),
-        "T": st.integers(1, 30),
+        # a training batch holds at most 2^13 doubles of a round's noise
+        # ((K + 1) d) or residuals (K n), whichever is more: 273 rounds or
+        # more at d <= 4 and n <= 5, at most 97 at d >= 28 and 102 at n >= 40,
+        # so T past 280 with a wide d or n crosses batch and noise-draw
+        # boundaries (fl_core.train_over_air)
+        "d": st.one_of(st.integers(1, 4), st.integers(28, 32)),
+        "T": st.one_of(st.integers(1, 30), st.integers(280, 300)),
         "reg_lambda": st.floats(1e-3, 1.0),
-        "n_per_user": st.integers(1, 5),
+        "n_per_user": st.one_of(st.integers(1, 5), st.integers(40, 60)),
         "sigma_z2": _sigma_z2,
         "L_s": _L_s,
         **keys,
