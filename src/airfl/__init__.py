@@ -44,7 +44,6 @@ from .pcran import (
     optimize_beta_dp,
 )
 from .secrecy import (
-    SecrecyInputs,
     SecrecyPoint,
     SecrecySweep,
     SweepResult,

@@ -67,21 +67,27 @@ def _clip(g: np.ndarray, L_s: float, norm: np.ndarray) -> np.ndarray:
     return g
 
 
+def _clippable(g) -> np.ndarray:
+    """A float copy of the gradients g (last axis), with finite entries and squared norms."""
+    g = np.array(g, dtype=float)
+    if g.ndim == 0:
+        raise ValueError(f"gradient must be an array of at least one axis, got {g!r}")
+    finite("gradient", g, ndim=g.ndim)
+    # a squared norm that overflows would clip the gradient to 0, not to L_s
+    with np.errstate(over="ignore"):
+        norm = np.matmul(g[..., None, :], g[..., :, None])
+    finite("squared norm of gradient", norm[..., 0, 0], ndim=g.ndim)
+    return g
+
+
 def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
     """Scale each gradient (last axis of g) down to norm L_s if it exceeds it.
 
     Returns a new array; the rows are clipped as a round of
     :func:`round_kernel` clips them.
     """
-    positive("L_s", L_s)
-    g = np.array(g, dtype=float)
-    finite("gradient", g, ndim=g.ndim)
-    # a squared norm that overflows would clip the gradient to 0, not to L_s
-    norm = np.empty(g.shape[:-1] + (1, 1))
-    with np.errstate(over="ignore"):
-        np.matmul(g[..., None, :], g[..., :, None], out=norm)
-    finite("squared norm of gradient", norm[..., 0, 0], ndim=g.ndim)
-    return _clip(g, L_s, norm)
+    g = _clippable(g)
+    return _clip(g, positive("L_s", L_s), np.empty(g.shape[:-1] + (1, 1)))
 
 
 def plan_link(
@@ -209,16 +215,17 @@ def round_kernel(plan: LinkPlan, d: int):
 def simulate_round(gradients: np.ndarray, plan: LinkPlan, noise: np.ndarray) -> np.ndarray:
     """One aggregation round: clip, add to the noise, superpose, rescale by 1/(mK).
 
-    gradients is (K, d), left unchanged, and noise one (K + 1, d) round of
-    :func:`draw_noise`, which the payloads sig_amp * s_k are added into in
-    place.  The checked one-shot form of :func:`round_kernel`; returns a new
-    s_hat.
+    gradients is (K, d), left unchanged and checked as :func:`clip_gradient`
+    checks it, and noise one (K + 1, d) round of :func:`draw_noise`, which
+    the payloads sig_amp * s_k are added into in place.  The checked one-shot
+    form of :func:`round_kernel`; returns a new s_hat.
     """
     K = len(plan.sig_amp)
-    if gradients.ndim != 2 or len(gradients) != K or noise.shape != (K + 1, gradients.shape[1]):
-        raise ValueError(f"gradient shape {gradients.shape} and noise shape {noise.shape} "
+    g = _clippable(gradients)
+    if g.ndim != 2 or len(g) != K or noise.shape != (K + 1, g.shape[1]):
+        raise ValueError(f"gradient shape {g.shape} and noise shape {noise.shape} "
                          f"do not fit a plan of K={K} users")
-    return round_kernel(plan, gradients.shape[1])(np.array(gradients, dtype=float), noise)
+    return round_kernel(plan, g.shape[1])(g, noise)
 
 
 def simulate_aggregation_rounds(

@@ -36,9 +36,10 @@ class ChannelConfig:
         if self.fading_mode not in ("rayleigh", "fixed"):
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
         nonnegative("sigma_z2", self.sigma_z2)
-        if self.fading_mode == "fixed":
-            if self.fixed_gains is None:
-                raise ValueError("fixed fading mode requires fixed_gains")
+        if (self.fixed_gains is None) == (self.fading_mode == "fixed"):
+            raise ValueError(f"fixed_gains must be given in fixed fading mode and only there, "
+                             f"got {self.fixed_gains!r} in {self.fading_mode!r} mode")
+        if self.fixed_gains is not None:
             nonnegative("fixed_gains", self.fixed_gains, ndim=1)
 
 

@@ -141,13 +141,22 @@ def _loss_at(resid: np.ndarray, w: np.ndarray, task: SyntheticTask) -> np.floati
     return 0.5 * (sums / task.V.size) + 0.5 * task.reg_lambda * ww
 
 
+def _model(w, task: SyntheticTask) -> np.ndarray:
+    """w as a float array of task.d finite entries."""
+    if np.shape(finite("w", w, ndim=1)) != (task.d,):
+        raise ValueError(f"w needs one entry per feature (d = {task.d}), got shape {np.shape(w)}")
+    return np.asarray(w, dtype=float)
+
+
 def global_loss(w: np.ndarray, task: SyntheticTask) -> float:
     """Mean per-point regularized squared error over the pooled dataset."""
+    w = _model(w, task)
     return float(_loss_at(_residual(w, task), w, task))
 
 
 def all_local_gradients(w: np.ndarray, task: SyntheticTask) -> np.ndarray:
     """Stack of every user's local gradient, shape (K, d)."""
+    w = _model(w, task)
     return _gradients_at(_residual(w, task), w, task)
 
 

@@ -184,9 +184,9 @@ def optimize_beta_dp(
     caps = np.asarray(nonnegative("caps", caps, ndim=1), dtype=float)
     alpha = np.zeros(h2.shape) if alpha is None else unit_interval("alpha", alpha, ndim=1)
     shapes = [np.shape(v) for v in (h2, P, eps, caps, alpha)]
-    if h2.ndim != 1 or len(set(shapes)) != 1:
-        raise ValueError(f"h2, P, eps, caps and alpha need one entry per user, got "
-                         f"shapes {shapes}")
+    if h2.ndim != 1 or len(set(shapes)) != 1 or not h2.size:
+        raise ValueError(f"h2, P, eps, caps and alpha need one entry per user (at least one), "
+                         f"got shapes {shapes}")
     open_unit_interval("delta", delta)
     nonnegative("sigma_z2", sigma_z2)
     with np.errstate(over="ignore"):  # an overflowing product is rejected here
@@ -215,7 +215,7 @@ def noise_gains(h2: np.ndarray, P: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def equalized_gain(gains: np.ndarray) -> float:
     """Common noise-gain target for pre-equalization: the minimum gain."""
-    return float(np.min(gains)) if len(gains) else 0.0
+    return float(np.min(gains))
 
 
 def aggregate_noise_stats(
@@ -240,6 +240,8 @@ def aggregate_noise_stats(
     nonnegative("sigma_z2", sigma_z2)
     positive("alignment constant m", m)
     K = pairing.num_users
+    if K == 0:
+        raise ValueError("pairing has no pairs: there are no users to aggregate")
     sizes = [np.size(h2), np.size(P), np.size(beta)]
     if sizes != [K] * 3:
         # an unpaired user's gain would set the common noise gain c

@@ -22,20 +22,6 @@ from .channel import sample_gains  # noqa: F401 -- unused; bench/spans.py wraps 
 
 
 @dataclass(frozen=True)
-class SecrecyInputs:
-    """One victim user's link parameters for a single evaluation."""
-
-    alpha_a: float
-    P_a: float
-    L_s: float
-    h2_a: float
-    h2_ev: float
-    sigma_z2: float
-    sigma_a2: float
-    sigma_zprime2: float
-
-
-@dataclass(frozen=True)
 class SecrecyPoint:
     """SNRs and capacities (bits) at one evaluation point."""
 
@@ -46,7 +32,8 @@ class SecrecyPoint:
     c: float
 
 
-def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
+def secrecy_point(*, alpha_a: float, P_a: float, L_s: float, h2_a: float, h2_ev: float,
+                  sigma_z2: float, sigma_a2: float, sigma_zprime2: float) -> SecrecyPoint:
     """Server capacity, eavesdropper capacity, and their difference floored at 0.
 
     c_s = log2(S h2_a + sigma_zprime2) - log2(sigma_zprime2) with
@@ -60,8 +47,9 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     rules = {"alpha_a": unit_interval, "P_a": nonnegative, "L_s": positive,
              "h2_a": nonnegative, "h2_ev": nonnegative, "sigma_z2": nonnegative,
              "sigma_a2": nonnegative, "sigma_zprime2": positive}
-    alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = (
-        float(rule(name, getattr(inp, name))) for name, rule in rules.items())
+    given = (alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2)
+    alpha_a, P_a, L_s, h2_a, h2_ev, sigma_z2, sigma_a2, sigma_zprime2 = values = [
+        float(rule(name, value)) for (name, rule), value in zip(rules.items(), given)]
     S = math.sqrt(alpha_a * P_a) / L_s
     ev_noise = sigma_z2 + sigma_a2
     if not ev_noise > 0:
@@ -69,16 +57,15 @@ def secrecy_point(inp: SecrecyInputs) -> SecrecyPoint:
     rx_s = S * h2_a + sigma_zprime2
     rx_ev = S * h2_ev + ev_noise
     if not (math.isfinite(rx_s) and math.isfinite(rx_ev)):
+        shown = ", ".join(f"{name} = {value}" for name, value in zip(rules, values))
         raise ValueError(f"signal factor S = sqrt(alpha_a P_a) / L_s = {S} times a "
-                         f"gain plus the noise overflows, got {inp}")
+                         f"gain plus the noise overflows, got {shown}")
     snr_s = S * h2_a / sigma_zprime2
     c_s = np.log2(rx_s) - np.log2(sigma_zprime2)
     snr_ev = S * h2_ev / ev_noise
     c_ev = np.log2(rx_ev) - np.log2(ev_noise)
     c = max(float(c_s - c_ev), 0.0)
-    return SecrecyPoint(
-        snr_s=snr_s, c_s=float(c_s), snr_ev=snr_ev, c_ev=float(c_ev), c=c,
-    )
+    return SecrecyPoint(snr_s=snr_s, c_s=float(c_s), snr_ev=snr_ev, c_ev=float(c_ev), c=c)
 
 
 @dataclass(frozen=True)
@@ -177,8 +164,7 @@ def _tree_sum(leaf_sums: Iterator, n: int):
     if n <= _BLOCK:
         return next(leaf_sums)
     half = _tree_split(n)
-    left = _tree_sum(leaf_sums, half)
-    return left + _tree_sum(leaf_sums, n - half)
+    return _tree_sum(leaf_sums, half) + _tree_sum(leaf_sums, n - half)
 
 
 def _cpu_count() -> int:
@@ -228,9 +214,7 @@ def _log2_cancels(noise: float) -> bool:
     return not (np.any(run) or np.any(np.signbit(run)))
 
 
-def monte_carlo_secrecy(
-    sweep: SecrecySweep, n_samples: int, seed: int
-) -> list[SweepResult]:
+def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[SweepResult]:
     """Average the secrecy capacity over fading realizations per sweep point.
 
     Deterministic given the seed; all sweep points share one set of channel
@@ -257,11 +241,13 @@ def monte_carlo_secrecy(
     parts the calling thread draws), so only one n-sample array is held.
     One worker per CPU this process may run on (os.sched_getaffinity, else
     os.cpu_count), at most one per block, runs one loop in its own buffer:
-    under one lock, draw the next block and update the largest S h2 plus
-    noise; then, while that is finite, evaluate the block.  The calling
-    thread is one worker, so one usable CPU starts no thread; numpy releases
-    the GIL.  Blocks are drawn in a fixed order, and their sums are stored by
-    index and added in tree order, so every worker count gives the same bits.
+    under one lock, unless a worker has failed, draw the next block and
+    check its largest S h2 plus noise, whose overflow is the error that
+    ends every loop; then evaluate the block.  So the error names the first
+    overflowing block in draw order.  The calling thread is one worker, so
+    one usable CPU starts no thread; numpy releases the GIL.  Blocks are
+    drawn in a fixed order, and their sums are stored by index and added in
+    tree order, so every worker count gives the same bits.
     """
     n_samples = count("n_samples", n_samples)
     rng = np.random.default_rng(count("seed", seed, 0))
@@ -269,9 +255,8 @@ def monte_carlo_secrecy(
     log2_ev_noise = np.log2(ev_noise)
     delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
 
-    coords = list(product(
-        sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
-    ))
+    coords = list(product(sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid,
+                          sweep.sigma_A2_db_grid))
     signals = [(sweep.signal_factor(alpha, p_db), sweep.residual_noise(sA2_db),
                 delta_hs.index(delta_h)) for alpha, p_db, delta_h, sA2_db in coords]
     # S h2 + noise grows with each factor; Python floats overflow unwarned
@@ -295,21 +280,24 @@ def monte_carlo_secrecy(
     leaves = enumerate(gain_blocks(n_samples, rng, blocks))  # draws the real parts
     args = (points, delta_hs, ev_noise, log2_ev_noise)
     leaf_sums = [None] * len(blocks)
-    pull = threading.Lock()  # held while a leaf is drawn and top_h2 updated
-    top_h2 = 0.0
+    pull = threading.Lock()  # held while a leaf is drawn and checked
     errors = []
 
     def work(w: int) -> None:
-        nonlocal top_h2
         try:
-            while not errors:
+            while True:
                 with pull:
-                    if (leaf := next(leaves, None)) is None:
+                    if errors or (leaf := next(leaves, None)) is None:
                         return
                     i, x = leaf
-                    top_h2 = max(top_h2, float(x.max()))
-                if math.isfinite(top_S * top_h2 + top_noise):
-                    leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
+                    top_h2 = float(x.max())
+                    if not math.isfinite(top_S * top_h2 + top_noise):
+                        errors.append(ValueError(
+                            f"received power S |h|^2 + noise overflows at L_s = {sweep.L_s}: S = "
+                            f"{top_S}, largest |h|^2 in samples {blocks[i].start}.."
+                            f"{blocks[i].stop - 1} = {top_h2}"))
+                        return
+                leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -321,16 +309,8 @@ def monte_carlo_secrecy(
         thread.join()
     if errors:
         raise errors[0]
-    if not math.isfinite(top_S * top_h2 + top_noise):
-        raise ValueError(f"received power S |h|^2 + noise overflows at L_s = {sweep.L_s}: "
-                         f"S = {top_S}, largest drawn |h|^2 = {top_h2}")
     means = iter(_tree_sum(iter(np.array(leaf_sums)), n_samples) / n_samples)
 
-    return [
-        SweepResult(
-            alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
-            mean_c=float(mean_c), mean_c_s=float(mean_c_s), mean_c_ev=float(mean_c_ev),
-        )
-        for (alpha, p_db, delta_h, sA2_db), (mean_c, mean_c_s, mean_c_ev)
-        in zip(coords, ((0.0, 0.0, 0.0) if skip else next(means) for skip in skipped))
-    ]
+    # a coordinate (alpha, power_db, delta_h, sigma_A2_db), then its (c, c_s, c_ev) means
+    return [SweepResult(*coord, *map(float, point_means)) for coord, point_means
+            in zip(coords, ((0.0, 0.0, 0.0) if skip else next(means) for skip in skipped))]

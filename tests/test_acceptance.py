@@ -29,7 +29,6 @@ from airfl.pcran import (
     optimize_beta_dp,
 )
 from airfl.secrecy import (
-    SecrecyInputs,
     SecrecySweep,
     monte_carlo_secrecy,
     secrecy_point,
@@ -126,18 +125,18 @@ def test_criterion_3_bound_oracle():
 
 
 def test_criterion_4_secrecy_oracle():
-    p = secrecy_point(SecrecyInputs(
+    p = secrecy_point(
         alpha_a=1.0, P_a=1.0, L_s=1.0, h2_a=2.0, h2_ev=1.0,
         sigma_z2=1.0, sigma_a2=1.0, sigma_zprime2=1.0,
-    ))
+    )
     assert p.c == pytest.approx(1.0, rel=1e-12)
     r = np.random.default_rng(21)
     for _ in range(10**4):
-        q = secrecy_point(SecrecyInputs(
+        q = secrecy_point(
             alpha_a=r.uniform(0, 1), P_a=r.uniform(0.1, 1000), L_s=r.uniform(0.5, 2),
             h2_a=r.uniform(0, 5), h2_ev=r.uniform(0, 5), sigma_z2=r.uniform(0.1, 2),
             sigma_a2=r.uniform(0, 300), sigma_zprime2=r.uniform(0.1, 100),
-        ))
+        )
         assert q.c_s == pytest.approx(np.log2(1 + q.snr_s), abs=1e-12)
     report(4, "hand-derived point yields exactly 1.0 bit and the log2(1+SNR) "
               "identity holds across 1e4 random inputs")

@@ -227,6 +227,14 @@ class TestRoundKernelContract:
         assert np.array_equal(bits(grads), bits(before))
         assert not np.shares_memory(first, second)
 
+    def test_one_shot_round_takes_a_nested_list(self):
+        # as clip_gradient does; the round once failed on the list's missing .ndim
+        h2, alloc, pairing, secrets, grads = random_link(4, 3, False, 21)
+        plan = plan_link(h2, alloc, pairing, secrets, 1.0)
+        (noise,) = draw_noise(plan, 1, 3, rng(1))
+        assert np.array_equal(bits(simulate_round(grads.tolist(), plan, noise.copy())),
+                              bits(simulate_round(grads, plan, noise.copy())))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 30])
     @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
     @pytest.mark.parametrize("zero_payloads", [False, True])

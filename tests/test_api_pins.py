@@ -254,7 +254,6 @@ OVERFLOW_CHECKS = {
     ("pcran.py", "if not math.isfinite(m):"),
     ("secrecy.py", "if not (math.isfinite(rx_s) and math.isfinite(rx_ev)):"),
     ("secrecy.py", "if not math.isfinite(self.signal_factor(max(self.alpha_grid),"),
-    ("secrecy.py", "if math.isfinite(top_S * top_h2 + top_noise):"),
     ("secrecy.py", "if not math.isfinite(top_S * top_h2 + top_noise):"),
 }
 

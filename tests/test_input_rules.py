@@ -19,10 +19,10 @@ from airfl import (
     Pairing,
     PairSecret,
     PowerAllocation,
-    SecrecyInputs,
     SecrecySweep,
     TrainSettings,
     aggregate_noise_stats,
+    all_local_gradients,
     awgn,
     centralized_gd,
     clip_gradient,
@@ -30,9 +30,11 @@ from airfl import (
     convergence_bound,
     db_to_linear,
     draw_link,
+    draw_noise,
     draw_pcran,
     draw_secrets,
     form_pairs,
+    global_loss,
     make_task,
     monte_carlo_secrecy,
     optimize_beta_dp,
@@ -41,6 +43,7 @@ from airfl import (
     sample_gains,
     secrecy_point,
     simulate_aggregation_rounds,
+    simulate_round,
     train_over_air,
 )
 from airfl.experiments import ConfigError, config_from_dict
@@ -66,8 +69,7 @@ GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
 # its counts from checked settings, so it checks nothing
 EXEMPT = {
     "BetaAllocation", "LinkPlan", "NoiseStats", "SecrecyPoint", "SweepResult",
-    "TrainState", "Pairing", "PowerAllocation", "BoundInputs",
-    "SecrecyInputs", "all_local_gradients", "global_loss", "optimal_model",
+    "TrainState", "Pairing", "PowerAllocation", "BoundInputs", "optimal_model",
     "simulate_round", "draw_noise",
 }
 
@@ -101,6 +103,10 @@ def rounds(gradients):
     return simulate_aggregation_rounds(gradients, H2, ALLOC, PAIRING, SECRETS, 1.0, 2, rng())
 
 
+def one_round(gradients):
+    return simulate_round(gradients, PLAN, draw_noise(PLAN, 1, 2, rng())[0])
+
+
 def beta_dp(h2=H2, P=np.ones(2), eps=np.ones(2), delta=0.1, sigma_z2=1.0,
             caps=np.ones(2), alpha=np.zeros(2)):
     return optimize_beta_dp(h2, P, eps, delta, sigma_z2, caps, alpha)
@@ -115,7 +121,7 @@ def bound(**kw):
 def point(**kw):
     base = dict(alpha_a=1.0, P_a=1.0, L_s=1.0, h2_a=2.0, h2_ev=1.0,
                 sigma_z2=1.0, sigma_a2=1.0, sigma_zprime2=1.0)
-    return secrecy_point(SecrecyInputs(**{**base, **kw}))
+    return secrecy_point(**{**base, **kw})
 
 
 def sweep(**kw):
@@ -178,6 +184,8 @@ TABLE = [
      {"K": "count", "n_per_user": "count", "d": "count", "reg_lambda": "positive"}, (), ()),
     ("SyntheticTask", lambda reg_lambda=0.1, mu=1.0: replace(TASK, reg_lambda=reg_lambda, mu=mu),
      {"reg_lambda": "positive", "mu": "positive"}, (), ()),
+    ("global_loss", lambda w: global_loss(w, TASK), {"w": "finite"}, ("w",), ()),
+    ("all_local_gradients", lambda w: all_local_gradients(w, TASK), {"w": "finite"}, ("w",), ()),
     ("convergence_bound", bound,
      {"mu": "positive", "lam": "positive", "T": "count", "L_s": "positive", "d": "count",
       "m": "positive", "K": "count", "noise_power_sum": "nonnegative",
@@ -302,13 +310,43 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
      r"^squared norm of gradient must be a finite value, got array\(\[ *1\., inf\]\)$"),
     (lambda: centralized_gd(replace(TASK, V=np.full((2, 3), math.nan)), TrainSettings(T=1)),
      r"^gradient must be a finite value"),
+    # the one-shot round clipped without clip_gradient's checks: NaN came
+    # back as s_hat = [nan, nan], [1e200, 0] warned of an overflow in matmul
+    # and was clipped to 0, and a nested list failed on its missing .ndim
+    (lambda: one_round(np.array([[math.nan, 0.0], [0.0, 0.0]])),
+     r"^gradient must be a finite value"),
+    (lambda: one_round(np.array([[1e200, 0.0], [0.0, 0.0]])),
+     r"^squared norm of gradient must be a finite value, got array\(\[inf, +0\.\]\)$"),
+    (lambda: one_round([[1.0, 0.0], [0.0, math.inf]]), r"^gradient must be a finite value"),
+    # empty or shapeless arrays that reached numpy: a pairing of no pairs
+    # divided by zero users, empty per-user arrays reduced a zero-size
+    # array, a number for a gradient failed to index, and a model of the
+    # wrong length raised numpy's matmul error
+    (lambda: aggregate_noise_stats(Pairing(pairs=()), [], [], [], [], 1.0, 1.0),
+     r"^pairing has no pairs"),
+    (lambda: optimize_beta_dp(*[np.zeros(0)] * 3, 0.1, 1.0, *[np.zeros(0)] * 2),
+     r"^h2, P, eps, caps and alpha need one entry per user \(at least one\), got shapes "
+     r"\[\(0,\), \(0,\), \(0,\), \(0,\), \(0,\)\]$"),
+    (lambda: clip_gradient(3.0, 1.0),
+     r"^gradient must be an array of at least one axis, got array\(3\.\)$"),
+    (lambda: global_loss(np.ones(3), TASK),
+     r"^w needs one entry per feature \(d = 2\), got shape \(3,\)$"),
+    (lambda: all_local_gradients(np.ones(1), TASK),
+     r"^w needs one entry per feature \(d = 2\), got shape \(1,\)$"),
+    # fixed_gains were ignored, and Rayleigh gains drawn, in rayleigh mode
+    (lambda: ChannelConfig(fixed_gains=(1.0, 2.0)),
+     r"^fixed_gains must be given in fixed fading mode and only there, "
+     r"got \(1\.0, 2\.0\) in 'rayleigh' mode$"),
 ], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
         "ragged-list", "long-array", "stats-unpaired-user", "stats-h2-length",
         "stats-P-length", "stats-beta-length", "stats-scalars", "plan-P-length",
         "plan-alpha-one-entry", "plan-alpha-length",
         "alignment-h2-length", "alignment-P-length",
         "rounds-no-dimensions", "rounds-1d", "rounds-short", "clip-nan", "clip-inf",
-        "clip-minus-inf", "clip-norm-overflow", "rounds-norm-overflow", "centralized-nan"])
+        "clip-minus-inf", "clip-norm-overflow", "rounds-norm-overflow", "centralized-nan",
+        "round-nan", "round-norm-overflow", "round-nested-list", "stats-no-pairs",
+        "beta-dp-empty", "clip-number", "loss-w-length", "gradients-w-length",
+        "rayleigh-fixed-gains"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

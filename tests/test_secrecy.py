@@ -1,6 +1,9 @@
+import math
 import sys
 import threading
+import time
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ import pytest
 from airfl import secrecy
 from airfl.channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
 from airfl.secrecy import (
-    SecrecyInputs,
     SecrecySweep,
     SweepResult,
     _BLOCK,
@@ -23,7 +25,7 @@ def point(**kw):
     base = dict(alpha_a=1.0, P_a=1.0, L_s=1.0, h2_a=2.0, h2_ev=1.0,
                 sigma_z2=1.0, sigma_a2=1.0, sigma_zprime2=1.0)
     base.update(kw)
-    return secrecy_point(SecrecyInputs(**base))
+    return secrecy_point(**base)
 
 
 class TestSecrecyPoint:
@@ -129,11 +131,11 @@ class TestMonteCarloSecrecy:
         )
         res = monte_carlo_secrecy(sweep, 100, seed=2)[0]
         h2 = sample_gains(ChannelConfig(), 100, np.random.default_rng(2))
-        per_sample = [secrecy_point(SecrecyInputs(
+        per_sample = [secrecy_point(
             alpha_a=0.25, P_a=db_to_linear(10.0), L_s=1.0, h2_a=h,
             h2_ev=max(h - 0.5, 0.0), sigma_z2=1.0, sigma_a2=db_to_linear(25.0),
             sigma_zprime2=1.0 + db_to_linear(3.0),
-        )) for h in h2]
+        ) for h in h2]
         assert res.mean_c > 0
         assert res.mean_c == pytest.approx(np.mean([p.c for p in per_sample]), rel=1e-12)
         assert res.mean_c_s == pytest.approx(np.mean([p.c_s for p in per_sample]), rel=1e-12)
@@ -452,6 +454,53 @@ class TestParallelLeaves:
             monte_carlo_secrecy(EXACT_SWEEPS["fig3"], 50_001, seed=0)
         assert threading.active_count() == threads
         assert len(evaluated) <= landed
+
+    def test_overflow_stops_the_draw_at_the_first_overflowing_leaf(self, monkeypatch):
+        # the workers once kept drawing leaves after an overflow and reported
+        # a running maximum that depended on thread timing
+        monkeypatch.setattr(secrecy, "_BLOCK", 32)
+        sweep = base_sweep(alpha_grid=(0.05,), power_db_grid=(3000.0,), L_s=7e-159)
+        n = 5_000
+        h2 = sample_gains(ChannelConfig(), n, np.random.default_rng(0))
+        blocks = _tree_blocks(n)
+        S = sweep.signal_factor(0.05, 3000.0)
+        first = next(i for i, b in enumerate(blocks) if S * float(h2[b].max()) == np.inf)
+        assert 3 <= first < len(blocks) - 1
+        gain_blocks = secrecy.gain_blocks
+        drawn = []
+
+        def counted_draw(*args):
+            for x in gain_blocks(*args):
+                drawn.append(x.size)
+                yield x
+
+        def slow_isfinite(x):
+            # another worker that is not held off by the lock takes its turn
+            time.sleep(1e-3)
+            return math.isfinite(x)
+
+        monkeypatch.setattr(secrecy, "gain_blocks", counted_draw)
+        monkeypatch.setattr(secrecy, "math", SimpleNamespace(sqrt=math.sqrt,
+                                                             isfinite=slow_isfinite))
+        messages = set()
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3) * 5:
+                monkeypatch.setattr(secrecy, "_cpu_count", lambda: workers)
+                drawn.clear()
+                with pytest.raises(ValueError) as error:
+                    monte_carlo_secrecy(sweep, n, seed=0)
+                messages.add(str(error.value))
+                assert len(drawn) == first + 1
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+        (message,) = messages
+        assert message.startswith("received power S |h|^2 + noise overflows at L_s = 7e-159")
+        assert message.endswith(f"largest |h|^2 in samples {blocks[first].start}.."
+                                f"{blocks[first].stop - 1} = {h2[blocks[first]].max()}")
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, reference_results):
         def no_thread(*args, **kwargs):
