@@ -69,10 +69,11 @@ def _clip(g: np.ndarray, L_s: float, norm: np.ndarray) -> np.ndarray:
 
 def _clippable(g) -> np.ndarray:
     """A float copy of the gradients g (last axis), with finite entries and squared norms."""
-    g = np.array(g, dtype=float)
+    # checked before the copy, which fails unnamed on a ragged nesting; numpy
+    # allows at most 64 axes
+    g = np.array(finite("gradient", g, ndim=64), dtype=float)
     if g.ndim == 0:
         raise ValueError(f"gradient must be an array of at least one axis, got {g!r}")
-    finite("gradient", g, ndim=g.ndim)
     # a squared norm that overflows would clip the gradient to 0, not to L_s
     with np.errstate(over="ignore"):
         norm = np.matmul(g[..., None, :], g[..., :, None])
@@ -216,15 +217,19 @@ def simulate_round(gradients: np.ndarray, plan: LinkPlan, noise: np.ndarray) -> 
     """One aggregation round: clip, add to the noise, superpose, rescale by 1/(mK).
 
     gradients is (K, d), left unchanged and checked as :func:`clip_gradient`
-    checks it, and noise one (K + 1, d) round of :func:`draw_noise`, which
-    the payloads sig_amp * s_k are added into in place.  The checked one-shot
-    form of :func:`round_kernel`; returns a new s_hat.
+    checks it, and noise one finite float64 (K + 1, d) round of
+    :func:`draw_noise`, which the payloads sig_amp * s_k are added into in
+    place.  The checked one-shot form of :func:`round_kernel`; returns a new s_hat.
     """
     K = len(plan.sig_amp)
     g = _clippable(gradients)
+    kind = getattr(noise, "dtype", type(noise))
+    if not (isinstance(noise, np.ndarray) and kind == np.float64):
+        raise ValueError(f"noise must be a float64 array, got {kind}")
     if g.ndim != 2 or len(g) != K or noise.shape != (K + 1, g.shape[1]):
         raise ValueError(f"gradient shape {g.shape} and noise shape {noise.shape} "
                          f"do not fit a plan of K={K} users")
+    finite("noise", noise, ndim=2)
     return round_kernel(plan, g.shape[1])(g, noise)
 
 

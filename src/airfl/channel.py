@@ -26,21 +26,20 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Static channel parameters shared by all realizations of a run."""
+    """Static channel parameters of a run: fixed at fixed_gains if given, else Rayleigh."""
 
-    fading_mode: str = "rayleigh"  # "rayleigh" or "fixed"
     sigma_z2: float = 1.0
     fixed_gains: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.fading_mode not in ("rayleigh", "fixed"):
-            raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
         nonnegative("sigma_z2", self.sigma_z2)
-        if (self.fixed_gains is None) == (self.fading_mode == "fixed"):
-            raise ValueError(f"fixed_gains must be given in fixed fading mode and only there, "
-                             f"got {self.fixed_gains!r} in {self.fading_mode!r} mode")
         if self.fixed_gains is not None:
             nonnegative("fixed_gains", self.fixed_gains, ndim=1)
+
+    @property
+    def fading_mode(self) -> str:
+        """The fading mode: "rayleigh" without fixed_gains, else "fixed"."""
+        return "rayleigh" if self.fixed_gains is None else "fixed"
 
 
 def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:

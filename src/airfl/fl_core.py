@@ -40,21 +40,26 @@ DIVERGENCE_FACTOR = 1e6
 class SyntheticTask:
     """Ridge-regression task split across K users with equal data sizes.
 
-    U has shape (K, n, d) and V shape (K, n).  mu is the smoothness constant
-    of the global loss; reg_lambda its strong-convexity constant.
+    U has shape (K, n, d) and V shape (K, n), both finite.  reg_lambda is the
+    global loss's strong-convexity constant; the task computes mu, its
+    smoothness constant lambda_max(U^T U / (K n)) + reg_lambda.
     """
 
     U: np.ndarray
     V: np.ndarray
     reg_lambda: float
-    mu: float
+    mu: float = field(init=False)
 
     def __post_init__(self) -> None:
         positive("reg_lambda", self.reg_lambda)  # strong convexity
-        positive("mu", self.mu)
-        if np.ndim(self.U) != 3 or np.shape(self.V) != np.shape(self.U)[:2]:
+        if np.ndim(self.U) != 3 or np.shape(self.V) != np.shape(self.U)[:2] or not np.size(self.U):
             raise ValueError(f"V must have shape U.shape[:2] for U of shape (K, n, d), "
-                             f"got U {np.shape(self.U)} and V {np.shape(self.V)}")
+                             f"K, n, d >= 1, got U {np.shape(self.U)} and V {np.shape(self.V)}")
+        finite("U", self.U, ndim=3)
+        finite("V", self.V, ndim=2)
+        flat = np.reshape(self.U, (-1, self.d))
+        cov = flat.T @ flat / flat.shape[0]
+        object.__setattr__(self, "mu", np.linalg.eigvalsh(cov)[-1] + self.reg_lambda)
 
     @property
     def K(self) -> int:
@@ -104,12 +109,7 @@ def make_task(
     U = rng.normal(0.0, 1.0 / np.sqrt(d), size=(K, n_per_user, d))
     w_true = rng.normal(0.0, 1.0, size=d)
     V = U @ w_true + rng.normal(0.0, 1.0, size=(K, n_per_user))
-    flat = U.reshape(-1, d)
-    cov = flat.T @ flat / flat.shape[0]
-    # a numpy float adds a list or a bool too, so the task's check of
-    # reg_lambda, which runs before its check of mu, names such a value
-    mu = np.linalg.eigvalsh(cov)[-1] + reg_lambda
-    return SyntheticTask(U=U, V=V, reg_lambda=reg_lambda, mu=mu)
+    return SyntheticTask(U=U, V=V, reg_lambda=reg_lambda)
 
 
 def _residual(w: np.ndarray, task: SyntheticTask, out: np.ndarray | None = None) -> np.ndarray:

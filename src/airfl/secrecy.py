@@ -130,8 +130,6 @@ class SweepResult:
     delta_h: float
     sigma_A2_db: float
     mean_c: float
-    mean_c_s: float
-    mean_c_ev: float
 
 
 # leaf size of the blocked sweep: a few float64 buffers of this length stay
@@ -175,8 +173,8 @@ def _cpu_count() -> int:
 
 
 def _leaf_sums(x: np.ndarray, buf: np.ndarray, points: list, delta_hs: list,
-               ev_noise: float, log2_ev_noise: float) -> list:
-    """The (c, c_s, c_ev) sums of every point over one leaf's gains `x`,
+               ev_noise: float, log2_ev_noise: float, out: np.ndarray) -> np.ndarray:
+    """The sums of c of every point over one leaf's gains `x`, into `out`;
     computed in `buf` (len(delta_hs) + 3 rows of at least x.size)."""
     width = x.size
     h2_ev = buf[:len(delta_hs), :width]
@@ -184,24 +182,21 @@ def _leaf_sums(x: np.ndarray, buf: np.ndarray, points: list, delta_hs: list,
     for row, delta_h in zip(h2_ev, delta_hs):
         np.subtract(x, delta_h, out=row)
         np.maximum(row, 0.0, out=row)
-    sums = []
-    for S, sigma_zprime2, log2_szp2, j, new_c_s, new_c_ev in points:
+    for p, (S, sigma_zprime2, log2_szp2, j, new_c_s, new_c_ev) in enumerate(points):
         if new_c_s:
             np.multiply(S, x, out=c_s)
             c_s += sigma_zprime2
             np.log2(c_s, out=c_s)
             c_s -= log2_szp2
-            sum_c_s = np.add.reduce(c_s)
         if new_c_ev:
             np.multiply(S, h2_ev[j], out=c_ev)
             c_ev += ev_noise
             np.log2(c_ev, out=c_ev)
             c_ev -= log2_ev_noise
-            sum_c_ev = np.add.reduce(c_ev)
         np.subtract(c_s, c_ev, out=c)
         np.maximum(c, 0.0, out=c)
-        sums.append((np.add.reduce(c), sum_c_s, sum_c_ev))
-    return sums
+        out[p] = np.add.reduce(c)
+    return out
 
 
 def _log2_cancels(noise: float) -> bool:
@@ -235,7 +230,7 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
     (_tree_sum) and divided by n.  That is the sum and divide that
     ndarray.mean runs, so every mean equals the full-array mean bit for bit.
     A point with S = 0 has c_s = c_ev = c = +0.0 in every sample (checked
-    once, _log2_cancels), so its three means are +0.0 without block work.
+    once, _log2_cancels), so its mean is +0.0 without block work.
 
     The gains are drawn block by block (channel.gain_blocks, whose n real
     parts the calling thread draws), so only one n-sample array is held.
@@ -279,7 +274,7 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
     bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
     leaves = enumerate(gain_blocks(n_samples, rng, blocks))  # draws the real parts
     args = (points, delta_hs, ev_noise, log2_ev_noise)
-    leaf_sums = [None] * len(blocks)
+    leaf_sums = np.empty((len(blocks), len(points)))  # a row per leaf, a column per point
     pull = threading.Lock()  # held while a leaf is drawn and checked
     errors = []
 
@@ -297,7 +292,7 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
                             f"{top_S}, largest |h|^2 in samples {blocks[i].start}.."
                             f"{blocks[i].stop - 1} = {top_h2}"))
                         return
-                leaf_sums[i] = _leaf_sums(x, bufs[w], *args)
+                _leaf_sums(x, bufs[w], *args, leaf_sums[i])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -309,8 +304,8 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
         thread.join()
     if errors:
         raise errors[0]
-    means = iter(_tree_sum(iter(np.array(leaf_sums)), n_samples) / n_samples)
+    means = iter(_tree_sum(iter(leaf_sums), n_samples) / n_samples)
 
-    # a coordinate (alpha, power_db, delta_h, sigma_A2_db), then its (c, c_s, c_ev) means
-    return [SweepResult(*coord, *map(float, point_means)) for coord, point_means
-            in zip(coords, ((0.0, 0.0, 0.0) if skip else next(means) for skip in skipped))]
+    # a coordinate (alpha, power_db, delta_h, sigma_A2_db), then its mean c
+    return [SweepResult(*coord, 0.0 if skip else float(next(means)))
+            for coord, skip in zip(coords, skipped)]

@@ -176,7 +176,7 @@ def test_criterion_5_cancellation_unbiasedness():
 def test_criterion_6_noiseless_equivalence():
     task = make_task(2, 20, 10, 0.1, np.random.default_rng(41))
     settings = TrainSettings(T=1000, L_s=1.0, power=1.0, alpha_cap=1.0, beta=0.0)
-    chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
+    chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
     state, _ = train_over_air(task, chan, settings, np.random.default_rng(42))
     ref = centralized_gd(task, settings)
     np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-10)

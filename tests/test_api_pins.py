@@ -13,9 +13,9 @@ from airfl import secrecy
 from airfl.aircomp import LinkPlan, plan_link, simulate_aggregation_rounds
 from airfl.channel import ChannelConfig
 from airfl.experiments import SCHEMAS, config_from_dict, run_experiment
-from airfl.fl_core import BoundInputs, draw_link
+from airfl.fl_core import BoundInputs, SyntheticTask, draw_link
 from airfl.pcran import BetaAllocation, NoiseStats, PairSecret, aggregate_noise_stats
-from airfl.secrecy import SecrecySweep
+from airfl.secrecy import SecrecySweep, SweepResult
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -31,8 +31,11 @@ def params(fn):
 
 def test_model_api_is_pinned():
     # an option no experiment sets is an untested model; adding one back must
-    # change this list on purpose (TrainState is pinned with the training API)
-    assert names(ChannelConfig) == ["fading_mode", "sigma_z2", "fixed_gains"]
+    # change this list on purpose (TrainState is pinned with the training API);
+    # the fading mode is read from fixed_gains, and mu is computed from U
+    assert names(ChannelConfig) == ["sigma_z2", "fixed_gains"]
+    assert [(f.name, f.init) for f in fields(SyntheticTask)] == [
+        ("U", True), ("V", True), ("reg_lambda", True), ("mu", False)]
     assert names(PairSecret) == ["mu", "sigma2_pos", "sigma2_neg"]
     assert names(NoiseStats) == ["M", "sigma_A2", "sigma_zprime2", "estimator_var"]
     assert names(BetaAllocation) == ["beta", "psi"]
@@ -43,6 +46,8 @@ def test_model_api_is_pinned():
     assert names(SecrecySweep) == [
         "alpha_grid", "power_db_grid", "delta_h_grid", "sigma_A2_db_grid",
         "sigma_a2_db", "sigma_z2", "L_s"]
+    # one mean per coordinate: the ergodic secrecy capacity that Figs. 3 and 4 plot
+    assert names(SweepResult) == ["alpha", "power_db", "delta_h", "sigma_A2_db", "mean_c"]
     assert names(BoundInputs) == [
         "mu", "lam", "T", "L_s", "d", "m", "K", "noise_power_sum", "sigma_z2"]
     assert params(plan_link) == ["h2", "alloc", "pairing", "secrets", "sigma_z2"]

@@ -18,7 +18,7 @@ def rng(seed=0):
 
 class TestSampleChannel:
     def test_fixed_gains_verbatim(self):
-        cfg = ChannelConfig(fading_mode="fixed", fixed_gains=(4.0, 9.0))
+        cfg = ChannelConfig(fixed_gains=(4.0, 9.0))
         assert np.array_equal(sample_channel(cfg, 2, rng()), [4.0, 9.0])
 
     def test_rayleigh_unit_mean(self):
@@ -37,7 +37,7 @@ class TestSampleChannel:
             sample_channel(ChannelConfig(), 0, rng())
 
     def test_fixed_gains_length_mismatch(self):
-        cfg = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0,))
+        cfg = ChannelConfig(fixed_gains=(1.0,))
         with pytest.raises(ValueError, match="length"):
             sample_channel(cfg, 2, rng())
 
@@ -55,15 +55,7 @@ class TestConfigValidation:
 
     def test_non_finite_fixed_gain_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, float("nan")))
-
-    def test_fixed_mode_needs_gains(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(fading_mode="fixed")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(fading_mode="rician")
+            ChannelConfig(fixed_gains=(1.0, float("nan")))
 
 
 class TestAwgn:
@@ -99,7 +91,7 @@ def test_sample_gains_matches_model():
     assert abs(g.mean() - 1.0) < 0.03
     # the fixed gains of a link are not a Monte Carlo model
     with pytest.raises(ValueError, match="sample_gains draws Rayleigh gains"):
-        sample_gains(ChannelConfig(fading_mode="fixed", fixed_gains=(2.5,)), 10, rng())
+        sample_gains(ChannelConfig(fixed_gains=(2.5,)), 10, rng())
 
 
 @pytest.mark.parametrize("n, block", [(1, None), (7, None), (1003, None),

@@ -175,6 +175,7 @@ class TestLoadConfig:
         ({"experiment": "noise-check", "users": 5}, "users: odd user count K=5"),
         ({"experiment": "train", "reg_lambda": 0.0}, "reg_lambda must be a finite positive"),
         ({"experiment": "train", "out": 5}, "out must be a path string"),
+        ({}, "config must name an experiment"),
     ])
     def test_count_split_and_path_rejected(self, raw, message):
         # an empty k_grid or splits once wrote a header-only CSV, k_grid [0]
@@ -446,6 +447,7 @@ class TestCli:
         ('{"experiment": "fig3", "sigma_a2_db": 4000}',
          "sigma_a2_db must be a finite value at most"),
         ('{"experiment": "fig5", "samples": 5}', "unknown config keys for fig5: ['samples']"),
+        ("{}", "config must name an experiment"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, document, message):
         # these once crashed with a TypeError traceback, failed on unpacking

@@ -275,7 +275,7 @@ class TestTrainOverAir:
     def test_noiseless_matches_centralized(self):
         task = small_task(1, K=2, lam=0.1)
         settings = self.noiseless_settings()
-        chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
+        chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         state, _ = train_over_air(task, chan, settings, rng(2))
         ref = centralized_gd(task, settings)
         np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-10)
@@ -311,7 +311,7 @@ class TestTrainOverAir:
         monkeypatch.setattr(fl_core, "round_kernel", ascent_kernel)
         task = small_task(6, K=2, lam=0.1)
         settings = TrainSettings(T=5000, beta=0.0, alpha_cap=1.0, power=1.0)
-        chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
+        chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         with pytest.raises(RuntimeError, match=r"diverged at iteration \d+ \(loss \d\.\d{3}e\+\d+\)"):
             train_over_air(task, chan, settings, rng(3))
 
@@ -331,7 +331,7 @@ class TestTrainOverAir:
         t, message = reference_divergence(task, 200)
         assert t == t_div
         settings = TrainSettings(T=200, beta=0.0, alpha_cap=1.0, power=1.0)
-        chan = ChannelConfig(fading_mode="fixed", fixed_gains=(1.0, 1.0), sigma_z2=0.0)
+        chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError) as excinfo:
@@ -457,6 +457,16 @@ def test_hand_built_task_needs_one_label_per_point():
     for U, V in ((task.U, task.V[:, 1:]), (task.U, task.V.T), (task.U[0], task.V)):
         with pytest.raises(ValueError, match=r"V must have shape U.shape\[:2\]"):
             replace(task, U=U, V=V)
+
+
+def test_hand_built_task_computes_its_smoothness():
+    # mu was an argument, which a replace of U and V left at the old data's
+    # value; the task now computes it, by the formula make_task once ran
+    task, other = small_task(), small_task(12)
+    moved = replace(task, U=other.U, V=other.V)
+    flat = other.U.reshape(-1, other.d)
+    assert moved.mu == other.mu == np.linalg.eigvalsh(flat.T @ flat / len(flat))[-1] + 0.1
+    assert moved.mu != task.mu
 
 
 def test_training_api_parameters_are_pinned():

@@ -103,8 +103,9 @@ def rounds(gradients):
     return simulate_aggregation_rounds(gradients, H2, ALLOC, PAIRING, SECRETS, 1.0, 2, rng())
 
 
-def one_round(gradients):
-    return simulate_round(gradients, PLAN, draw_noise(PLAN, 1, 2, rng())[0])
+def one_round(gradients, noise=None):
+    return simulate_round(gradients, PLAN,
+                          draw_noise(PLAN, 1, 2, rng())[0] if noise is None else noise)
 
 
 def beta_dp(h2=H2, P=np.ones(2), eps=np.ones(2), delta=0.1, sigma_z2=1.0,
@@ -146,7 +147,7 @@ def config(experiment):
 TABLE = [
     ("db_to_linear", db_to_linear, {"db": "decibels"}, (), ()),
     ("ChannelConfig", ChannelConfig, {"sigma_z2": "nonnegative"}, (), ()),
-    ("ChannelConfig", lambda fixed_gains: ChannelConfig("fixed", fixed_gains=fixed_gains),
+    ("ChannelConfig", lambda fixed_gains: ChannelConfig(fixed_gains=fixed_gains),
      {"fixed_gains": "nonnegative"}, ("fixed_gains",), ()),
     ("sample_channel", lambda K: sample_channel(ChannelConfig(), K, rng()), {"K": "count"}, (), ()),
     ("sample_gains", lambda n: sample_gains(ChannelConfig(), n, rng()), {"n": "count"}, (), ()),
@@ -182,8 +183,8 @@ TABLE = [
     ("make_task", lambda K=2, n_per_user=3, d=2, reg_lambda=0.1:
         make_task(K, n_per_user, d, reg_lambda, rng()),
      {"K": "count", "n_per_user": "count", "d": "count", "reg_lambda": "positive"}, (), ()),
-    ("SyntheticTask", lambda reg_lambda=0.1, mu=1.0: replace(TASK, reg_lambda=reg_lambda, mu=mu),
-     {"reg_lambda": "positive", "mu": "positive"}, (), ()),
+    ("SyntheticTask", lambda reg_lambda: replace(TASK, reg_lambda=reg_lambda),
+     {"reg_lambda": "positive"}, (), ()),
     ("global_loss", lambda w: global_loss(w, TASK), {"w": "finite"}, ("w",), ()),
     ("all_local_gradients", lambda w: all_local_gradients(w, TASK), {"w": "finite"}, ("w",), ()),
     ("convergence_bound", bound,
@@ -308,8 +309,11 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
      r"^squared norm of gradient must be a finite value, got array\(inf\)$"),
     (lambda: rounds(np.array([[1.0, 0.0], [1e200, 0.0]])),
      r"^squared norm of gradient must be a finite value, got array\(\[ *1\., inf\]\)$"),
-    (lambda: centralized_gd(replace(TASK, V=np.full((2, 3), math.nan)), TrainSettings(T=1)),
-     r"^gradient must be a finite value"),
+    # (labels so large that each user's gradient sum overflows to -inf; the
+    # task itself rejects a NaN label)
+    (lambda: centralized_gd(replace(TASK, U=np.ones((2, 3, 2)), V=np.full((2, 3), 1e308)),
+                            TrainSettings(T=1)),
+     r"^gradient must be a finite value, got array\(\[\[-inf, -inf\], \[-inf, -inf\]\]\)$"),
     # the one-shot round clipped without clip_gradient's checks: NaN came
     # back as s_hat = [nan, nan], [1e200, 0] warned of an overflow in matmul
     # and was clipped to 0, and a nested list failed on its missing .ndim
@@ -333,10 +337,30 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
      r"^w needs one entry per feature \(d = 2\), got shape \(3,\)$"),
     (lambda: all_local_gradients(np.ones(1), TASK),
      r"^w needs one entry per feature \(d = 2\), got shape \(1,\)$"),
-    # fixed_gains were ignored, and Rayleigh gains drawn, in rayleigh mode
-    (lambda: ChannelConfig(fixed_gains=(1.0, 2.0)),
-     r"^fixed_gains must be given in fixed fading mode and only there, "
-     r"got \(1\.0, 2\.0\) in 'rayleigh' mode$"),
+    # the one-shot round's noise: a list failed on its missing .shape, and
+    # NaN noise came back as s_hat = [nan, nan]
+    (lambda: one_round(np.zeros((2, 2)), [[0.0, 0.0]] * 3),
+     r"^noise must be a float64 array, got <class 'list'>$"),
+    (lambda: one_round(np.zeros((2, 2)), np.full((3, 2), math.nan)),
+     r"^noise must be a finite value, got array\(\[\[nan, nan\], "),
+    # a ragged gradient nesting raised numpy's unnamed "setting an array
+    # element with a sequence"
+    (lambda: clip_gradient([[1.0], [1.0, 2.0]], 1.0),
+     r"^gradient must be a finite value, got \[\[1\.0\], \[1\.0, 2\.0\]\]$"),
+    (lambda: one_round([[1.0], [1.0, 2.0]]),
+     r"^gradient must be a finite value, got \[\[1\.0\], \[1\.0, 2\.0\]\]$"),
+    # make_task added reg_lambda to a numpy float before the task checked it:
+    # a string raised numpy's UFuncTypeError and None a bare TypeError; and
+    # the task's smoothness came out NaN for non-finite data
+    (lambda: make_task(2, 3, 3, "x", rng()),
+     r"^reg_lambda must be a finite positive value, got 'x'$"),
+    (lambda: make_task(2, 3, 3, None, rng()),
+     r"^reg_lambda must be a finite positive value, got None$"),
+    (lambda: replace(TASK, U=np.full((2, 3, 2), math.nan)), r"^U must be a finite value"),
+    (lambda: replace(TASK, V=np.full((2, 3), -math.inf)), r"^V must be a finite value"),
+    (lambda: replace(TASK, U=np.zeros((2, 0, 2)), V=np.zeros((2, 0))),
+     r"^V must have shape U\.shape\[:2\] for U of shape \(K, n, d\), K, n, d >= 1, "
+     r"got U \(2, 0, 2\) and V \(2, 0\)$"),
 ], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
         "ragged-list", "long-array", "stats-unpaired-user", "stats-h2-length",
         "stats-P-length", "stats-beta-length", "stats-scalars", "plan-P-length",
@@ -346,10 +370,21 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
         "clip-minus-inf", "clip-norm-overflow", "rounds-norm-overflow", "centralized-nan",
         "round-nan", "round-norm-overflow", "round-nested-list", "stats-no-pairs",
         "beta-dp-empty", "clip-number", "loss-w-length", "gradients-w-length",
-        "rayleigh-fixed-gains"])
+        "round-noise-list", "round-noise-nan", "clip-ragged", "round-ragged",
+        "task-lambda-string", "task-lambda-none", "task-nan-U", "task-inf-V", "task-empty"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_fixed_gains_set_the_fixed_mode():
+    # fixed_gains were ignored, and Rayleigh gains drawn, in rayleigh mode;
+    # now the gains decide the mode
+    config = ChannelConfig(fixed_gains=(4.0, 9.0))
+    assert config.fading_mode == "fixed" and ChannelConfig().fading_mode == "rayleigh"
+    assert np.array_equal(sample_channel(config, 2, rng()), [4.0, 9.0])
+    with pytest.raises(AttributeError):
+        config.fading_mode = "rayleigh"
 
 
 def test_table_covers_every_public_entry_point():

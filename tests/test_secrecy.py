@@ -138,9 +138,6 @@ class TestMonteCarloSecrecy:
         ) for h in h2]
         assert res.mean_c > 0
         assert res.mean_c == pytest.approx(np.mean([p.c for p in per_sample]), rel=1e-12)
-        assert res.mean_c_s == pytest.approx(np.mean([p.c_s for p in per_sample]), rel=1e-12)
-        assert res.mean_c_ev == pytest.approx(np.mean([p.c_ev for p in per_sample]),
-                                              rel=1e-12)
 
     def test_nondecreasing_in_alpha(self):
         results = monte_carlo_secrecy(base_sweep(), 5000, seed=3)
@@ -278,8 +275,7 @@ def reference_sweep(sweep, n_samples, seed):
         c = np.maximum(c_s - c_ev, 0.0)
         results.append(SweepResult(
             alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
-            mean_c=float(c.mean()), mean_c_s=float(c_s.mean()),
-            mean_c_ev=float(c_ev.mean()),
+            mean_c=float(c.mean()),
         ))
     return results
 
@@ -318,7 +314,7 @@ class TestBlockedEngineExact:
     @pytest.mark.parametrize("cancels", [True, False])
     @pytest.mark.parametrize("name", ["fig3", "mixed"])
     def test_zero_signal_points_skip_leaf_work(self, monkeypatch, name, cancels):
-        # alpha = 0 gives S = 0, whose three means are +0.0; the leaves
+        # alpha = 0 gives S = 0, whose mean is +0.0; the leaves
         # evaluate only the other points, unless the log2 check says the
         # per-sample values at S = 0 would not be exactly +0.0
         sweep, n = EXACT_SWEEPS[name], 5_001
@@ -334,9 +330,7 @@ class TestBlockedEngineExact:
         results = monte_carlo_secrecy(sweep, n, seed=n)
         assert results == reference_sweep(sweep, n, seed=n)
         zero = [r for r in results if r.alpha == 0.0]
-        assert zero and all(
-            m == 0.0 and not np.signbit(m)
-            for r in zero for m in (r.mean_c, r.mean_c_s, r.mean_c_ev))
+        assert zero and all(r.mean_c == 0.0 and not np.signbit(r.mean_c) for r in zero)
         assert evaluated == {len(results) - (len(zero) if cancels else 0)}
 
     @pytest.mark.parametrize("n", TREE_LENGTHS + (3 * 10**6,))
