@@ -10,7 +10,6 @@ import numpy as np
 
 from airfl import (
     ChannelConfig,
-    TrainSettings,
     convergence_bound,
     make_task,
     train_over_air,
@@ -22,9 +21,9 @@ task = make_task(K, n_per_user=20, d=d, reg_lambda=1e-3,
 chan = ChannelConfig(sigma_z2=1.0)
 
 for alpha_cap, beta in ((0.5, 0.5), (0.3, 0.7)):
-    settings = TrainSettings(T=T, power=1000.0, alpha_cap=alpha_cap, beta=beta)
     state, bound_inputs = train_over_air(
-        task, chan, settings, np.random.default_rng(1)
+        task, chan, np.random.default_rng(1),
+        T=T, power=1000.0, alpha_cap=alpha_cap, beta=beta,
     )
     print(f"\nalpha_cap={alpha_cap}, beta={beta} (m={bound_inputs.m:.3f})")
     print(f"{'t':>6} {'loss':>12} {'gap':>12} {'bound':>12}")

@@ -19,7 +19,6 @@ from .channel import (
 from .fl_core import (
     BoundInputs,
     SyntheticTask,
-    TrainSettings,
     TrainState,
     all_local_gradients,
     centralized_gd,

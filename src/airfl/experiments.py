@@ -21,7 +21,6 @@ from .aircomp import simulate_aggregation_rounds
 from .channel import ChannelConfig, db_to_linear
 from .channel import sample_channel  # noqa: F401 -- unused; bench/spans.py wraps it
 from .fl_core import (
-    TrainSettings,
     convergence_bound,
     draw_link,
     make_task,
@@ -224,16 +223,11 @@ class _Training(_Config):
                     seed_key: tuple[int, ...]):
         task_rng = np.random.default_rng([self.seed, 17])
         task = make_task(K, self.n_per_user, self.d, self.reg_lambda, task_rng)
-        settings = TrainSettings(
-            T=self.T,
-            L_s=self.L_s,
-            power=db_to_linear(self.powers_db[0]),
-            alpha_cap=alpha_cap,
-            beta=beta,
-        )
         chan = ChannelConfig(sigma_z2=self.sigma_z2)
         rng = np.random.default_rng(list(seed_key))
-        return train_over_air(task, chan, settings, rng)
+        return train_over_air(task, chan, rng, T=self.T, L_s=self.L_s,
+                              power=db_to_linear(self.powers_db[0]),
+                              alpha_cap=alpha_cap, beta=beta)
 
 
 @dataclass(frozen=True)

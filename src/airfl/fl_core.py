@@ -40,9 +40,10 @@ DIVERGENCE_FACTOR = 1e6
 class SyntheticTask:
     """Ridge-regression task split across K users with equal data sizes.
 
-    U has shape (K, n, d) and V shape (K, n), both finite.  reg_lambda is the
-    global loss's strong-convexity constant; the task computes mu, its
-    smoothness constant lambda_max(U^T U / (K n)) + reg_lambda.
+    U is a numpy array of shape (K, n, d) and V one of shape (K, n), both
+    finite.  reg_lambda is the global loss's strong-convexity constant; the
+    task computes mu, its smoothness constant lambda_max(U^T U / (K n)) +
+    reg_lambda.
     """
 
     U: np.ndarray
@@ -52,9 +53,12 @@ class SyntheticTask:
 
     def __post_init__(self) -> None:
         positive("reg_lambda", self.reg_lambda)  # strong convexity
-        if np.ndim(self.U) != 3 or np.shape(self.V) != np.shape(self.U)[:2] or not np.size(self.U):
+        for name, data in (("U", self.U), ("V", self.V)):
+            if not isinstance(data, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(data)}")
+        if self.U.ndim != 3 or self.V.shape != self.U.shape[:2] or not self.U.size:
             raise ValueError(f"V must have shape U.shape[:2] for U of shape (K, n, d), "
-                             f"K, n, d >= 1, got U {np.shape(self.U)} and V {np.shape(self.V)}")
+                             f"K, n, d >= 1, got U {self.U.shape} and V {self.V.shape}")
         finite("U", self.U, ndim=3)
         finite("V", self.V, ndim=2)
         flat = np.reshape(self.U, (-1, self.d))
@@ -190,31 +194,17 @@ def convergence_bound(inputs: BoundInputs) -> float:
     return finite("convergence bound", (2.0 * mu / (lam**2 * inputs.T)) * (L_s**2 + noise))
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    """Knobs of a training run over the air."""
-
-    T: int
-    L_s: float = 1.0
-    power: float = 1000.0  # linear per-user transmit power
-    alpha_cap: float = 0.5
-    beta: float = 0.5
-
-    def __post_init__(self) -> None:
-        count("T", self.T)
-        positive("power", self.power)
-
-
-def centralized_gd(task: SyntheticTask, settings: TrainSettings) -> TrainState:
-    """Noise-free reference: per-user gradients clipped and averaged exactly.
+def centralized_gd(task: SyntheticTask, *, T: int, L_s: float = 1.0) -> TrainState:
+    """Noise-free reference: per-user gradients clipped to L_s and averaged
+    exactly over T rounds.
 
     Uses the same learning-rate schedule as the over-the-air loop, so with a
     noiseless channel the two trajectories coincide.
     """
     state = TrainState(w=np.zeros(task.d))
-    for t in range(1, settings.T + 1):
+    for t in range(1, count("T", T) + 1):
         grads = all_local_gradients(state.w, task)
-        s_hat = clip_gradient(grads, settings.L_s).mean(axis=0)
+        s_hat = clip_gradient(grads, L_s).mean(axis=0)
         state.w = state.w - 1.0 / (task.reg_lambda * t) * s_hat
         state.loss_history.append(global_loss(state.w, task))
     return state
@@ -248,15 +238,22 @@ def draw_link(
 def train_over_air(
     task: SyntheticTask,
     channel_config: ChannelConfig,
-    settings: TrainSettings,
     rng: Generator,
+    *,
+    T: int,
+    L_s: float = 1.0,
+    power: float = 1000.0,
+    alpha_cap: float = 0.5,
+    beta: float = 0.5,
 ) -> tuple[TrainState, BoundInputs]:
     """Run T federated rounds over the simulated analog channel.
 
-    The channel is sampled once (time-invariant link), pairs and secrets are
-    formed once, and each round clips the local gradients, transmits them
-    with PCR-AN, and applies the global update w <- w - s_hat / (lam t).  The
-    round kernel and the buffers are set up once per run.  The rounds run in
+    Each user transmits at the linear power `power` with clip bound L_s and
+    the alpha_cap / beta split of draw_link.  The channel is sampled once
+    (time-invariant link), pairs and secrets are formed once, and each round
+    clips the local gradients, transmits them with PCR-AN, and applies the
+    global update w <- w - s_hat / (lam t).  The round kernel and the
+    buffers are set up once per run.  The rounds run in
     batches of at most _NOISE_BLOCK / 2 (2^13) doubles, counting a round as
     its noise ((K + 1) d) or its residuals (K n), whichever is more, or of
     one round if that alone is more.  A batch draws its noise with one
@@ -266,11 +263,8 @@ def train_over_air(
     evaluated at once.
     Returns the trajectory plus the bound inputs matching the realized run.
     """
-    K, d, T, lam = task.K, task.d, settings.T, task.reg_lambda
-    h2, alloc, pairing, secrets = draw_link(
-        channel_config, K, settings.power, settings.L_s, settings.alpha_cap,
-        settings.beta, rng,
-    )
+    K, d, T, lam = task.K, task.d, count("T", T), task.reg_lambda
+    h2, alloc, pairing, secrets = draw_link(channel_config, K, power, L_s, alpha_cap, beta, rng)
     plan = plan_link(h2, alloc, pairing, secrets, channel_config.sigma_z2)
     aggregate = round_kernel(plan, d)
 
@@ -315,8 +309,8 @@ def train_over_air(
     bound_inputs = BoundInputs(
         mu=task.mu,
         lam=task.reg_lambda,
-        T=settings.T,
-        L_s=settings.L_s,
+        T=T,
+        L_s=L_s,
         d=task.d,
         m=alloc.m,
         K=K,

@@ -14,7 +14,6 @@ from airfl.channel import ChannelConfig, db_to_linear
 from airfl.experiments import config_from_dict, run_experiment
 from airfl.fl_core import (
     BoundInputs,
-    TrainSettings,
     centralized_gd,
     convergence_bound,
     make_task,
@@ -175,10 +174,11 @@ def test_criterion_5_cancellation_unbiasedness():
 
 def test_criterion_6_noiseless_equivalence():
     task = make_task(2, 20, 10, 0.1, np.random.default_rng(41))
-    settings = TrainSettings(T=1000, L_s=1.0, power=1.0, alpha_cap=1.0, beta=0.0)
+    shared = dict(T=1000, L_s=1.0)  # the settings both runs read
     chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
-    state, _ = train_over_air(task, chan, settings, np.random.default_rng(42))
-    ref = centralized_gd(task, settings)
+    state, _ = train_over_air(task, chan, np.random.default_rng(42), power=1.0,
+                              alpha_cap=1.0, beta=0.0, **shared)
+    ref = centralized_gd(task, **shared)
     np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-10)
     report(6, "noiseless over-the-air training reproduces centralized GD loss "
               "history to 1e-10 over 1000 iterations")
@@ -186,15 +186,13 @@ def test_criterion_6_noiseless_equivalence():
 
 def _train_batch(K, alpha_cap, beta, n_seeds=50, T=1000):
     task = make_task(K, 20, 30, 1e-3, np.random.default_rng([17, K]))
-    settings = TrainSettings(T=T, power=db_to_linear(30.0), alpha_cap=alpha_cap,
-                             beta=beta)
     chan = ChannelConfig(sigma_z2=1.0)
     t = np.arange(1, T + 1)
     gaps, bounds, terminal = [], [], []
     for s in range(n_seeds):
         state, binp = train_over_air(
-            task, chan, settings,
-            np.random.default_rng([41, K, int(beta * 100), s]),
+            task, chan, np.random.default_rng([41, K, int(beta * 100), s]),
+            T=T, power=db_to_linear(30.0), alpha_cap=alpha_cap, beta=beta,
         )
         gaps.append(state.gap_history)
         bounds.append(convergence_bound(replace(binp, T=1)) / t)

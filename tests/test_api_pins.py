@@ -60,6 +60,27 @@ def test_model_api_is_pinned():
         "channel_config", "K", "power", "L_s", "alpha_cap", "beta", "rng"]
 
 
+def test_dataclasses_are_pinned():
+    # each dataclass costs cold start (~1.4 ms for a frozen one), so one more
+    # must change this list on purpose
+    found = []
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == [
+        "aircomp.LinkPlan", "channel.ChannelConfig",
+        "experiments._Config", "experiments._Secrecy", "experiments.Fig3Config",
+        "experiments.Fig4Config", "experiments._Training", "experiments.Fig5Config",
+        "experiments.TrainConfig", "experiments.NoiseCheckConfig",
+        "fl_core.SyntheticTask", "fl_core.TrainState", "fl_core.BoundInputs",
+        "pcran.PairSecret", "pcran.Pairing", "pcran.PowerAllocation", "pcran.NoiseStats",
+        "pcran.BetaAllocation",
+        "secrecy.SecrecyPoint", "secrecy.SecrecySweep", "secrecy.SweepResult"]
+
+
 def test_each_experiment_is_defined_once():
     # a schema class is its experiment's only definition: no module-level
     # _run_* function and no name->runner table beside SCHEMAS

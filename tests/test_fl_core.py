@@ -12,7 +12,6 @@ from airfl.aircomp import draw_noise, plan_link, round_kernel, simulate_round
 from airfl.channel import ChannelConfig, sample_channel
 from airfl.fl_core import (
     BoundInputs,
-    TrainSettings,
     TrainState,
     all_local_gradients,
     centralized_gd,
@@ -172,23 +171,24 @@ def varied_secrets(n_pairs, gen):
             for _ in range(n_pairs)]
 
 
-def reference_train(task, chan, settings, gen, secret_draw):
+def reference_train(task, chan, gen, secret_draw, *, T, L_s=1.0, power=1000.0,
+                    alpha_cap=0.5, beta=0.5):
     """train_over_air spelled out with the public per-round functions: every
     round draws its own noise and evaluates the gradients and the loss from
     scratch."""
     K = task.K
     h2 = sample_channel(chan, K, gen)
-    P = np.full(K, settings.power)
-    m, alpha = compute_alignment(h2, P, settings.L_s, alpha_cap=settings.alpha_cap)
-    beta = np.minimum(np.full(K, settings.beta), 1.0 - alpha)
-    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=settings.L_s)
+    P = np.full(K, power)
+    m, alpha = compute_alignment(h2, P, L_s, alpha_cap=alpha_cap)
+    beta = np.minimum(np.full(K, beta), 1.0 - alpha)
+    alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=L_s)
     pairing = form_pairs(K, gen)
     secrets = secret_draw(K // 2, gen)
     plan = plan_link(h2, alloc, pairing, secrets, chan.sigma_z2)
     f_star = global_loss(optimal_model(task), task)
     w = np.zeros(task.d)
     losses, gaps = [], []
-    for t in range(1, settings.T + 1):
+    for t in range(1, T + 1):
         noise = draw_noise(plan, 1, task.d, gen)[0]
         s_hat = simulate_round(all_local_gradients(w, task), plan, noise)
         w = w - 1.0 / (task.reg_lambda * t) * s_hat
@@ -232,10 +232,10 @@ class TestTrainOverAir:
         # d = 1 is the round kernel's accumulate branch
         monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
         task = small_task(12, K=K, n=8, d=d, lam=0.1)
-        settings = TrainSettings(T=40, power=100.0, beta=0.0 if quiet else 0.5)
+        settings = dict(T=40, power=100.0, beta=0.0 if quiet else 0.5)
         chan = ChannelConfig(sigma_z2=sigma_z2)
         gen_ref = rng(13)
-        w, losses, gaps = reference_train(task, chan, settings, gen_ref, varied_secrets)
+        w, losses, gaps = reference_train(task, chan, gen_ref, varied_secrets, **settings)
         blocks = []
 
         def recorded(plan, rounds, d, gen):
@@ -261,7 +261,7 @@ class TestTrainOverAir:
             blocks.clear()
             kernels.clear()
             gen_train = rng(13)
-            state, _ = train_over_air(task, chan, settings, gen_train)
+            state, _ = train_over_air(task, chan, gen_train, **settings)
             assert blocks == sizes
             assert kernels == [d]  # built once per run
             assert np.array_equal(state.loss_history, losses)
@@ -269,38 +269,34 @@ class TestTrainOverAir:
             assert np.array_equal(state.w, w)
             assert gen_train.bit_generator.state == gen_ref.bit_generator.state
 
-    def noiseless_settings(self, T=200):
-        return TrainSettings(T=T, L_s=1.0, power=1.0, alpha_cap=1.0, beta=0.0)
-
     def test_noiseless_matches_centralized(self):
         task = small_task(1, K=2, lam=0.1)
-        settings = self.noiseless_settings()
+        shared = dict(T=200, L_s=1.0)  # the settings both runs read
         chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
-        state, _ = train_over_air(task, chan, settings, rng(2))
-        ref = centralized_gd(task, settings)
+        state, _ = train_over_air(task, chan, rng(2), power=1.0, alpha_cap=1.0, beta=0.0,
+                                  **shared)
+        ref = centralized_gd(task, **shared)
         np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-10)
 
     def test_deterministic_given_seed(self):
         task = small_task(2, K=4, lam=0.05)
-        settings = TrainSettings(T=50, beta=0.5)
         chan = ChannelConfig(sigma_z2=1.0)
-        a, _ = train_over_air(task, chan, settings, rng(7))
-        b, _ = train_over_air(task, chan, settings, rng(7))
+        a, _ = train_over_air(task, chan, rng(7), T=50, beta=0.5)
+        b, _ = train_over_air(task, chan, rng(7), T=50, beta=0.5)
         assert a.loss_history == b.loss_history
 
     def test_odd_k_rejected(self):
         task = small_task(3, K=3)
         with pytest.raises(ValueError, match="even"):
-            train_over_air(task, ChannelConfig(), TrainSettings(T=1), rng())
+            train_over_air(task, ChannelConfig(), rng(), T=1)
 
     def test_gap_below_bound(self):
         task = small_task(4, K=2, d=5, lam=0.1)
-        settings = TrainSettings(T=300, beta=0.5, power=100.0)
         chan = ChannelConfig(sigma_z2=1.0)
         gaps = []
         bounds = []
         for s in range(10):
-            state, binp = train_over_air(task, chan, settings, rng(100 + s))
+            state, binp = train_over_air(task, chan, rng(100 + s), T=300, beta=0.5, power=100.0)
             gaps.append(state.gap_history[-1])
             bounds.append(convergence_bound(binp))
         assert np.mean(gaps) <= np.mean(bounds)
@@ -310,10 +306,9 @@ class TestTrainOverAir:
         # while the loss is still finite
         monkeypatch.setattr(fl_core, "round_kernel", ascent_kernel)
         task = small_task(6, K=2, lam=0.1)
-        settings = TrainSettings(T=5000, beta=0.0, alpha_cap=1.0, power=1.0)
         chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         with pytest.raises(RuntimeError, match=r"diverged at iteration \d+ \(loss \d\.\d{3}e\+\d+\)"):
-            train_over_air(task, chan, settings, rng(3))
+            train_over_air(task, chan, rng(3), T=5000, beta=0.0, alpha_cap=1.0, power=1.0)
 
     @pytest.mark.parametrize("n, lam, batch_rounds, t_div", [
         (10, 0.1, 10, 24), (10, 0.1, 23, 24), (1, 1e-300, 10, 1)],
@@ -330,12 +325,11 @@ class TestTrainOverAir:
         task = make_task(K, n, d, lam, rng(6))
         t, message = reference_divergence(task, 200)
         assert t == t_div
-        settings = TrainSettings(T=200, beta=0.0, alpha_cap=1.0, power=1.0)
         chan = ChannelConfig(fixed_gains=(1.0, 1.0), sigma_z2=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError) as excinfo:
-                train_over_air(task, chan, settings, rng(3))
+                train_over_air(task, chan, rng(3), T=200, beta=0.0, alpha_cap=1.0, power=1.0)
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("K, sizes", [(2, [3] * 166 + [2]), (6, [3] * 166 + [2])])
@@ -345,10 +339,10 @@ class TestTrainOverAir:
         # give batches of 3 rounds, and each batch draws its 3 rounds' noise
         monkeypatch.setattr(fl_core, "draw_secrets", varied_secrets)
         task = small_task(12, K=K, n=50, d=1, lam=0.1)
-        settings = TrainSettings(T=500, power=100.0, beta=0.5)
+        settings = dict(T=500, power=100.0, beta=0.5)
         chan = ChannelConfig(sigma_z2=1.0)
         gen_ref = rng(13)
-        w, losses, gaps = reference_train(task, chan, settings, gen_ref, varied_secrets)
+        w, losses, gaps = reference_train(task, chan, gen_ref, varied_secrets, **settings)
         monkeypatch.setattr(fl_core, "_NOISE_BLOCK", 6 * K * 50)
         blocks, batches = [], []
 
@@ -365,7 +359,7 @@ class TestTrainOverAir:
         monkeypatch.setattr(fl_core, "draw_noise", recorded)
         monkeypatch.setattr(fl_core, "_loss_at", batch_loss)
         gen_train = rng(13)
-        state, _ = train_over_air(task, chan, settings, gen_train)
+        state, _ = train_over_air(task, chan, gen_train, **settings)
         assert blocks == batches == sizes
         assert np.array_equal(state.loss_history, losses)
         assert np.array_equal(state.gap_history, gaps)
@@ -381,7 +375,7 @@ class TestTrainOverAir:
         assert task.V.size > fl_core._NOISE_BLOCK
         tracemalloc.start()
         try:
-            train_over_air(task, ChannelConfig(sigma_z2=1.0), TrainSettings(T=100), rng(1))
+            train_over_air(task, ChannelConfig(sigma_z2=1.0), rng(1), T=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,31 +385,29 @@ class TestTrainOverAir:
         # eta_1 = 1/lam makes a huge transient step; the guard must
         # tolerate it and training must still finish
         task = small_task(7, K=2, d=30, lam=1e-3)
-        settings = TrainSettings(T=50, beta=0.5)
-        state, _ = train_over_air(task, ChannelConfig(), settings, rng(4))
+        state, _ = train_over_air(task, ChannelConfig(), rng(4), T=50, beta=0.5)
         assert len(state.loss_history) == 50
 
     @pytest.mark.parametrize("T", [0, -2])
     def test_rejects_no_rounds(self, T):
         with pytest.raises(ValueError, match="T must be at least 1"):
-            train_over_air(small_task(), ChannelConfig(), TrainSettings(T=T), rng())
+            train_over_air(small_task(), ChannelConfig(), rng(), T=T)
 
     def test_nan_gradient_bound_rejected_before_training(self):
-        settings = TrainSettings(T=5, L_s=np.nan)
         with pytest.raises(ValueError, match="L_s"):
-            train_over_air(small_task(), ChannelConfig(), settings, rng())
+            train_over_air(small_task(), ChannelConfig(), rng(), T=5, L_s=np.nan)
 
     @pytest.mark.parametrize("T", [2.5, True, "3"])
     def test_non_integer_rounds_rejected(self, T):
         # T=2.5 once failed later with a TypeError in range
         with pytest.raises(ValueError, match="T must be an integer"):
-            TrainSettings(T=T)
+            train_over_air(small_task(), ChannelConfig(), rng(), T=T)
 
     @pytest.mark.parametrize("power", [-1.0, 0.0, np.nan, np.inf])
     def test_non_positive_power_rejected(self, power):
         # power=-1 once failed in training as "degenerate channel: zero gain"
         with pytest.raises(ValueError, match="power must be a finite positive value"):
-            TrainSettings(T=3, power=power)
+            train_over_air(small_task(), ChannelConfig(), rng(), T=3, power=power)
 
 
 def test_draw_link_clamps_beta_and_keeps_the_draw_order():
@@ -475,13 +467,19 @@ def test_training_api_parameters_are_pinned():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert [f.name for f in fields(TrainSettings)] == [
-        "T", "L_s", "power", "alpha_cap", "beta"]
+    def keyword_only(fn):
+        return [name for name, p in inspect.signature(fn).parameters.items()
+                if p.kind == p.KEYWORD_ONLY]
+
     assert [f.name for f in fields(TrainState)] == [
         "w", "loss_history", "gap_history"]
     assert params(make_task) == ["K", "n_per_user", "d", "reg_lambda", "rng"]
-    assert params(train_over_air) == ["task", "channel_config", "settings", "rng"]
-    assert params(centralized_gd) == ["task", "settings"]
+    # a run's settings are keyword-only; the reference takes only the two it reads
+    assert params(train_over_air) == [
+        "task", "channel_config", "rng", "T", "L_s", "power", "alpha_cap", "beta"]
+    assert keyword_only(train_over_air) == ["T", "L_s", "power", "alpha_cap", "beta"]
+    assert params(centralized_gd) == ["task", "T", "L_s"]
+    assert keyword_only(centralized_gd) == ["T", "L_s"]
     assert params(draw_secrets) == ["n_pairs", "rng"]
 
 

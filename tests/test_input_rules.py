@@ -20,7 +20,6 @@ from airfl import (
     PairSecret,
     PowerAllocation,
     SecrecySweep,
-    TrainSettings,
     aggregate_noise_stats,
     all_local_gradients,
     awgn,
@@ -129,8 +128,8 @@ def sweep(**kw):
     return SecrecySweep(**{"alpha_grid": (0.5,), "power_db_grid": (30.0,), **kw})
 
 
-def train(**settings):
-    return train_over_air(TASK, ChannelConfig(), TrainSettings(T=3, **settings), rng())
+def train(T=3, **settings):
+    return train_over_air(TASK, ChannelConfig(), rng(), T=T, **settings)
 
 
 def link(**kw):
@@ -191,12 +190,11 @@ TABLE = [
      {"mu": "positive", "lam": "positive", "T": "count", "L_s": "positive", "d": "count",
       "m": "positive", "K": "count", "noise_power_sum": "nonnegative",
       "sigma_z2": "nonnegative"}, (), ()),
-    ("TrainSettings", lambda T=3, power=1.0: TrainSettings(T=T, power=power),
-     {"T": "count", "power": "positive"}, (), ()),
     ("train_over_air", train,
-     {"L_s": "positive", "alpha_cap": "positive_fraction", "beta": "unit_interval"}, (), ()),
-    ("centralized_gd", lambda L_s: centralized_gd(TASK, TrainSettings(T=3, L_s=L_s)),
-     {"L_s": "positive"}, (), ()),
+     {"T": "count", "L_s": "positive", "power": "positive", "alpha_cap": "positive_fraction",
+      "beta": "unit_interval"}, (), ()),
+    ("centralized_gd", lambda T=3, L_s=1.0: centralized_gd(TASK, T=T, L_s=L_s),
+     {"T": "count", "L_s": "positive"}, (), ()),
     ("draw_link", link,
      {"K": "count", "power": "positive", "L_s": "positive", "alpha_cap": "positive_fraction",
       "beta": "unit_interval"}, (), ()),
@@ -312,7 +310,7 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
     # (labels so large that each user's gradient sum overflows to -inf; the
     # task itself rejects a NaN label)
     (lambda: centralized_gd(replace(TASK, U=np.ones((2, 3, 2)), V=np.full((2, 3), 1e308)),
-                            TrainSettings(T=1)),
+                            T=1),
      r"^gradient must be a finite value, got array\(\[\[-inf, -inf\], \[-inf, -inf\]\]\)$"),
     # the one-shot round clipped without clip_gradient's checks: NaN came
     # back as s_hat = [nan, nan], [1e200, 0] warned of an overflow in matmul
@@ -361,6 +359,11 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
     (lambda: replace(TASK, U=np.zeros((2, 0, 2)), V=np.zeros((2, 0))),
      r"^V must have shape U\.shape\[:2\] for U of shape \(K, n, d\), K, n, d >= 1, "
      r"got U \(2, 0, 2\) and V \(2, 0\)$"),
+    # data given as nested lists: a list U failed on its missing .shape, and a
+    # list V was accepted until the loss, the reference or the training loop
+    # read its .size or its reshape
+    (lambda: replace(TASK, U=TASK.U.tolist()), r"^U must be a numpy array, got <class 'list'>$"),
+    (lambda: replace(TASK, V=TASK.V.tolist()), r"^V must be a numpy array, got <class 'list'>$"),
 ], ids=["negative-h2-and-P", "alpha-length", "alignment-overflow", "beta-dp-overflow",
         "ragged-list", "long-array", "stats-unpaired-user", "stats-h2-length",
         "stats-P-length", "stats-beta-length", "stats-scalars", "plan-P-length",
@@ -371,7 +374,8 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
         "round-nan", "round-norm-overflow", "round-nested-list", "stats-no-pairs",
         "beta-dp-empty", "clip-number", "loss-w-length", "gradients-w-length",
         "round-noise-list", "round-noise-nan", "clip-ragged", "round-ragged",
-        "task-lambda-string", "task-lambda-none", "task-nan-U", "task-inf-V", "task-empty"])
+        "task-lambda-string", "task-lambda-none", "task-nan-U", "task-inf-V", "task-empty",
+        "task-list-U", "task-list-V"])
 def test_reported_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
