@@ -172,30 +172,51 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _leaf_sums(x: np.ndarray, buf: np.ndarray, points: list, delta_hs: list,
-               ev_noise: float, log2_ev_noise: float, out: np.ndarray) -> np.ndarray:
-    """The sums of c of every point over one leaf's gains `x`, into `out`;
-    computed in `buf` (len(delta_hs) + 3 rows of at least x.size)."""
-    width = x.size
-    h2_ev = buf[:len(delta_hs), :width]
-    c_s, c_ev, c = buf[len(delta_hs):, :width]
-    for row, delta_h in zip(h2_ev, delta_hs):
-        np.subtract(x, delta_h, out=row)
-        np.maximum(row, 0.0, out=row)
-    for p, (S, sigma_zprime2, log2_szp2, j, new_c_s, new_c_ev) in enumerate(points):
-        if new_c_s:
-            np.multiply(S, x, out=c_s)
-            c_s += sigma_zprime2
-            np.log2(c_s, out=c_s)
-            c_s -= log2_szp2
-        if new_c_ev:
-            np.multiply(S, h2_ev[j], out=c_ev)
-            c_ev += ev_noise
-            np.log2(c_ev, out=c_ev)
-            c_ev -= log2_ev_noise
-        np.subtract(c_s, c_ev, out=c)
-        np.maximum(c, 0.0, out=c)
-        out[p] = np.add.reduce(c)
+def _leaf_sums(x: np.ndarray, buf: np.ndarray, signals: list, delta_h: np.ndarray,
+               noise: np.ndarray, log2_noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of c over one leaf's gains `x` at every (S, delta_h, sigma_A2),
+    into `out`, of shape (len(signals), len(delta_h), len(sigma_A2)).
+
+    `delta_h` is a column of the grid's delta_h values.  `noise` is a column
+    of each sigma_zprime2, then the eavesdropper noise once per delta_h;
+    `log2_noise` holds their log2.  `buf` has 3 len(delta_h) + len(sigma_A2)
+    rows of at least x.size: the h2_ev rows, the c_s rows (one per
+    sigma_A2), the c_ev rows (one per delta_h) and len(delta_h) spare rows.
+
+    Per leaf, max(x - delta_h, 0) fills every h2_ev row in one subtract and
+    one maximum.  Per S, one multiply fills the c_s rows (S x) and one the
+    c_ev rows (S h2_ev); one add of `noise`, one log2 and one subtract of
+    `log2_noise` run over all of them.  Per sigma_A2, c = max(c_s - c_ev, 0)
+    for every delta_h takes one subtract, one maximum and one add.reduce
+    along the sample axis; with one delta_h, those three calls cover every
+    sigma_A2.
+    """
+    width, n_dh = x.size, delta_h.size
+    h2_ev = buf[:n_dh, :width]
+    rx = buf[n_dh:n_dh + noise.size, :width]  # the c_s rows, then the c_ev rows
+    c_s, c_ev = rx[:-n_dh], rx[-n_dh:]
+    # (c_s rows, where c goes, where its sums go).  With one delta_h, c is
+    # written over every c_s row in one step: fewer calls and fewer rows in
+    # cache (one step per sigma_A2 ran fig4 slower than a step per point).
+    # Else one sigma_A2 per step, c into the spare rows and over c_ev at its
+    # last use.
+    if n_dh == 1:
+        steps = [(c_s, c_s, 0)]
+    else:
+        c_rows = [buf[n_dh + noise.size:, :width]] * (len(c_s) - 1) + [c_ev]
+        steps = [(c_s[a], c, (slice(None), a)) for a, c in enumerate(c_rows)]
+    np.subtract(x, delta_h, out=h2_ev)
+    np.maximum(h2_ev, 0.0, out=h2_ev)
+    for S, sums in zip(signals, out):
+        np.multiply(S, x, out=c_s)
+        np.multiply(S, h2_ev, out=c_ev)
+        rx += noise
+        np.log2(rx, out=rx)
+        rx -= log2_noise
+        for rows, c, at in steps:
+            np.subtract(rows, c_ev, out=c)
+            np.maximum(c, 0.0, out=c)
+            np.add.reduce(c, axis=-1, out=sums[at])
     return out
 
 
@@ -221,16 +242,18 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
     32768 samples, the leaves of numpy's pairwise-summation tree
     (_tree_blocks), and every point is evaluated on a block before the next
     block is read (_leaf_sums).  Per block, max(h2 - delta_h, 0) is computed
-    once per distinct delta_h, c_s once per run of points that share
-    (S, sigma_zprime2) and c_ev once per run that shares (S, delta_h); c is
-    computed per point.  The values go through the same float operations in
-    the same order as the full-array formulas (S*h2, + noise, log2,
-    - log2(noise); c_s - c_ev, max(., 0)), each block is reduced with
-    np.add.reduce, and the block sums are added up the same tree
+    once for every delta_h; then, for each signal factor
+    S = sqrt(alpha P)/L_s, c_s once per sigma_zprime2, c_ev once per delta_h
+    and c once per (delta_h, sigma_A2), each numpy call running over the
+    stacked rows of one S.  The values go through the same float operations
+    in the same order as the full-array formulas (S*h2, + noise, log2,
+    - log2(noise); c_s - c_ev, max(., 0)), each block's rows are reduced
+    with np.add.reduce, and the block sums are added up the same tree
     (_tree_sum) and divided by n.  That is the sum and divide that
     ndarray.mean runs, so every mean equals the full-array mean bit for bit.
-    A point with S = 0 has c_s = c_ev = c = +0.0 in every sample (checked
-    once, _log2_cancels), so its mean is +0.0 without block work.
+    At S = 0, c_s = c_ev = c = +0.0 in every sample when log2 cancels for
+    every noise (checked once, _log2_cancels); then every S = 0 row is
+    skipped and its means are the +0.0 of np.zeros.
 
     The gains are drawn block by block (channel.gain_blocks, whose n real
     parts the calling thread draws), so only one n-sample array is held.
@@ -246,35 +269,26 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
     """
     n_samples = count("n_samples", n_samples)
     rng = np.random.default_rng(count("seed", seed, 0))
-    ev_noise = sweep.eavesdropper_noise()
-    log2_ev_noise = np.log2(ev_noise)
-    delta_hs = list(dict.fromkeys(sweep.delta_h_grid))
-
-    coords = list(product(sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid,
-                          sweep.sigma_A2_db_grid))
-    signals = [(sweep.signal_factor(alpha, p_db), sweep.residual_noise(sA2_db),
-                delta_hs.index(delta_h)) for alpha, p_db, delta_h, sA2_db in coords]
+    n_dh, n_sA2 = len(sweep.delta_h_grid), len(sweep.sigma_A2_db_grid)
+    # the noise of each c_s row (sigma_zprime2 per sigma_A2), then of each c_ev row
+    noises = ([sweep.residual_noise(sA2_db) for sA2_db in sweep.sigma_A2_db_grid]
+              + [sweep.eavesdropper_noise()] * n_dh)
+    signals = [sweep.signal_factor(alpha, p_db)
+               for alpha, p_db in product(sweep.alpha_grid, sweep.power_db_grid)]
     # S h2 + noise grows with each factor; Python floats overflow unwarned
-    top_S = max(S for S, _, _ in signals)
-    top_noise = float(max(ev_noise, *(szp2 for _, szp2, _ in signals)))
-    skipped = [S == 0 and _log2_cancels(szp2) and _log2_cancels(ev_noise)
-               for S, szp2, _ in signals]
-    # (S, sigma_zprime2, log2(sigma_zprime2), delta_h index, new c_s, new c_ev)
-    points = []
-    last_c_s = last_c_ev = None
-    for (S, szp2, j), skip in zip(signals, skipped):
-        if not skip:
-            points.append((S, szp2, np.log2(szp2), j, (S, szp2) != last_c_s,
-                           (S, j) != last_c_ev))
-            last_c_s, last_c_ev = (S, szp2), (S, j)
+    top_S, top_noise = max(signals), float(max(noises))
+    skip_zero = 0.0 in signals and all(map(_log2_cancels, noises))
+    live = [i for i, S in enumerate(signals) if S or not skip_zero]
 
     blocks = _tree_blocks(n_samples)
     workers = min(_cpu_count(), len(blocks))
     # allocated here, not in the threads, to keep the peak RSS down
-    bufs = np.empty((workers, len(delta_hs) + 3, min(n_samples, _BLOCK)))
+    bufs = np.empty((workers, 3 * n_dh + n_sA2, min(n_samples, _BLOCK)))
     leaves = enumerate(gain_blocks(n_samples, rng, blocks))  # draws the real parts
-    args = (points, delta_hs, ev_noise, log2_ev_noise)
-    leaf_sums = np.empty((len(blocks), len(points)))  # a row per leaf, a column per point
+    # the log2 of each noise taken alone, as the full-array formula takes it
+    args = ([signals[i] for i in live], np.array(sweep.delta_h_grid)[:, None],
+            np.array(noises)[:, None], np.array([np.log2(v) for v in noises])[:, None])
+    leaf_sums = np.empty((len(blocks), len(live), n_dh, n_sA2))
     pull = threading.Lock()  # held while a leaf is drawn and checked
     errors = []
 
@@ -304,8 +318,10 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
         thread.join()
     if errors:
         raise errors[0]
-    means = iter(_tree_sum(iter(leaf_sums), n_samples) / n_samples)
+    means = np.zeros((len(signals), n_dh, n_sA2))
+    means[live] = _tree_sum(iter(leaf_sums), n_samples) / n_samples
 
     # a coordinate (alpha, power_db, delta_h, sigma_A2_db), then its mean c
-    return [SweepResult(*coord, 0.0 if skip else float(next(means)))
-            for coord, skip in zip(coords, skipped)]
+    coords = product(sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid,
+                     sweep.sigma_A2_db_grid)
+    return [SweepResult(*coord, float(mean)) for coord, mean in zip(coords, means.flat)]

@@ -223,10 +223,11 @@ def test_gaussian_draws_share_one_helper_and_block():
 def test_training_formulas_are_written_once():
     # the round loop and the public global_loss and all_local_gradients share
     # fl_core's private helpers, so the gradient einsum, the residual U @ w - V,
-    # the loss's squaring of the residuals and its sum of them (a reduce over
-    # the whole array or over the last axis of a stack) each appear once in
-    # src/airfl
+    # the loss's squaring of the residuals and its sum of them (a reduce whose
+    # operand is a squared residual or a name bound to one, along any axis)
+    # each appear once in src/airfl
     found = {"einsum": [], "residual": [], "squared residual": [], "squared sum": []}
+    squared = set()  # names bound to squared residuals
 
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None) or ""
@@ -242,11 +243,11 @@ def test_training_formulas_are_written_once():
             return False
         return "resid" in name(a) and name(a) == name(b)
 
-    def whole_or_last_axis(keyword):
-        try:
-            return keyword.arg == "axis" and ast.literal_eval(keyword.value) in (None, -1)
-        except ValueError:
+    def sums_squares(node):
+        if not (isinstance(node, ast.Call) and name(node.func) == "reduce" and node.args):
             return False
+        return any(squares_residual(n) or (isinstance(n, ast.Name) and n.id in squared)
+                   for n in ast.walk(node.args[0]))
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -259,8 +260,9 @@ def test_training_formulas_are_written_once():
                 found["residual"].append(where)
         if squares_residual(node):
             found["squared residual"].append(where)
-        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduce"
-                and any(whole_or_last_axis(k) for k in node.keywords)):
+        if isinstance(node, ast.Assign) and squares_residual(node.value):
+            squared.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        if sums_squares(node):
             found["squared sum"].append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -270,6 +272,17 @@ def test_training_formulas_are_written_once():
     assert found == {"einsum": ["fl_core._gradients_at"], "residual": ["fl_core._residual"],
                      "squared residual": ["fl_core._loss_at"],
                      "squared sum": ["fl_core._loss_at"]}
+
+
+def test_secrecy_leaf_takes_one_log2_per_signal_factor():
+    # a leaf runs log2 once over every c_s and c_ev row of one S; a loop per
+    # sweep point, or a log2 per kind of capacity, would add a call
+    tree = ast.parse((ROOT / "src" / "airfl" / "secrecy.py").read_text(encoding="utf-8"))
+    (leaf,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_leaf_sums"]
+    log2_calls = [node for node in ast.walk(leaf) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log2"]
+    assert len(log2_calls) == 1
 
 
 # overflow checks of computed values (alignment constant, received powers,

@@ -316,13 +316,14 @@ class TestBlockedEngineExact:
     def test_zero_signal_points_skip_leaf_work(self, monkeypatch, name, cancels):
         # alpha = 0 gives S = 0, whose mean is +0.0; the leaves
         # evaluate only the other points, unless the log2 check says the
-        # per-sample values at S = 0 would not be exactly +0.0
+        # per-sample values at S = 0 would not be exactly +0.0; a leaf's
+        # points are the entries of its `out`, one per evaluated point
         sweep, n = EXACT_SWEEPS[name], 5_001
         leaf_sums, evaluated = secrecy._leaf_sums, set()
 
-        def counted(x, buf, points, *args):
-            evaluated.add(len(points))
-            return leaf_sums(x, buf, points, *args)
+        def counted(*args):
+            evaluated.add(args[-1].size)
+            return leaf_sums(*args)
 
         monkeypatch.setattr(secrecy, "_leaf_sums", counted)
         if not cancels:
