@@ -6,6 +6,8 @@ against a weaker one (delta_h = 1).  More signal power helps secrecy in
 every scenario because the eavesdropper sits behind a 25 dB artificial-noise
 floor.
 """
+from itertools import product
+
 import numpy as np
 
 from airfl import SecrecySweep, monte_carlo_secrecy
@@ -16,8 +18,10 @@ sweep = SecrecySweep(
     delta_h_grid=(0.0, 1.0),
     sigma_a2_db=25.0,
 )
-results = monte_carlo_secrecy(sweep, n_samples=100_000, seed=0)
+means = monte_carlo_secrecy(sweep, n_samples=100_000, seed=0)
 
 print(f"{'alpha':>6} {'P [dB]':>7} {'delta_h':>8} {'mean C [bits]':>14}")
-for r in results:
-    print(f"{r.alpha:>6.2f} {r.power_db:>7.0f} {r.delta_h:>8.1f} {r.mean_c:>14.4f}")
+# one sigma_A2, so means[..., 0].flat runs in the product order of the other grids
+points = product(sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid)
+for (alpha, p_db, delta_h), mean_c in zip(points, means[..., 0].flat):
+    print(f"{alpha:>6.2f} {p_db:>7.0f} {delta_h:>8.1f} {mean_c:>14.4f}")

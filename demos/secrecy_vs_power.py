@@ -14,15 +14,9 @@ sweep = SecrecySweep(
     sigma_A2_db_grid=(0.0, 5.0, 10.0, 15.0, 20.0),
     sigma_a2_db=25.0,
 )
-results = monte_carlo_secrecy(sweep, n_samples=100_000, seed=0)
+means = monte_carlo_secrecy(sweep, n_samples=100_000, seed=0)
+curves = means[0, :, 0, :]  # one row per power, one column per sigma_A2
 
-curves: dict[float, list] = {}
-for r in results:
-    curves.setdefault(r.sigma_A2_db, []).append((r.power_db, r.mean_c))
-
-header = "P [dB] " + "  ".join(f"sA2={s:>4.0f}dB" for s in sorted(curves))
-print(header)
-powers = sorted({p for pts in curves.values() for p, _ in pts})
-for p in powers:
-    row = [f"{dict(curves[s])[p]:>9.4f}" for s in sorted(curves)]
-    print(f"{p:>6.0f} " + "  ".join(row))
+print("P [dB] " + "  ".join(f"sA2={s:>4.0f}dB" for s in sweep.sigma_A2_db_grid))
+for p, row in zip(sweep.power_db_grid, curves):
+    print(f"{p:>6.0f} " + "  ".join(f"{c:>9.4f}" for c in row))

@@ -27,7 +27,9 @@ for alpha_cap, beta in ((0.5, 0.5), (0.3, 0.7)):
     )
     print(f"\nalpha_cap={alpha_cap}, beta={beta} (m={bound_inputs.m:.3f})")
     print(f"{'t':>6} {'loss':>12} {'gap':>12} {'bound':>12}")
+    # the bound after t rounds is its one-round value over t, as fig5 writes it
+    first_round = convergence_bound(replace(bound_inputs, T=1))
     for t in (1, 10, 100, 500, 1000):
-        bound_t = convergence_bound(replace(bound_inputs, T=t))
+        bound_t = first_round / t
         print(f"{t:>6} {state.loss_history[t - 1]:>12.4f} "
               f"{state.gap_history[t - 1]:>12.4f} {bound_t:>12.1f}")

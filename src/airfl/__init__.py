@@ -45,7 +45,6 @@ from .pcran import (
 from .secrecy import (
     SecrecyPoint,
     SecrecySweep,
-    SweepResult,
     monte_carlo_secrecy,
     secrecy_point,
 )

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -146,10 +147,11 @@ class _Config:
 class _Secrecy(_Config):
     """The secrecy sweeps; artificial-noise power 25 dB.
 
-    `columns` maps each CSV header to the SweepResult field it holds.
+    `columns` maps each CSV header before the closing `mean_c` to the axis of
+    the sweep grid it holds: 0 alpha, 1 power, 2 delta_h, 3 sigma_A2.
     """
 
-    columns: ClassVar[dict[str, str]]
+    columns: ClassVar[dict[str, int]]
 
     samples: int = 100_000
     sigma_a2_db: float = 25.0
@@ -158,18 +160,15 @@ class _Secrecy(_Config):
 
     def run(self) -> tuple[list[str], list[tuple]]:
         """Mean secrecy capacity at every point of the schema's four grids."""
-        sweep = SecrecySweep(
-            alpha_grid=self.alpha_grid,
-            power_db_grid=self.powers_db,
-            delta_h_grid=self.delta_h_values,
-            sigma_A2_db_grid=self.sigma_A2_db_grid,
-            sigma_a2_db=self.sigma_a2_db,
-            sigma_z2=self.sigma_z2,
-            L_s=self.L_s,
-        )
-        results = monte_carlo_secrecy(sweep, self.samples, self.seed)
-        rows = [tuple(getattr(r, f) for f in self.columns.values()) for r in results]
-        return list(self.columns), rows
+        grids = (self.alpha_grid, self.powers_db, self.delta_h_values, self.sigma_A2_db_grid)
+        sweep = SecrecySweep(*grids, sigma_a2_db=self.sigma_a2_db, sigma_z2=self.sigma_z2,
+                             L_s=self.L_s)
+        means = monte_carlo_secrecy(sweep, self.samples, self.seed)
+        axes = self.columns.values()
+        # the sweep keeps the grids' values, and means.flat runs in product order
+        rows = [tuple(coord[axis] for axis in axes) + (float(mean),)
+                for coord, mean in zip(product(*grids), means.flat)]
+        return [*self.columns, "mean_c"], rows
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,7 @@ class Fig3Config(_Secrecy):
 
     experiment: ClassVar[str] = "fig3"
     one_entry: ClassVar[tuple[str, ...]] = ("sigma_A2_db_grid",)
-    columns: ClassVar[dict[str, str]] = {
-        "alpha": "alpha", "p_db": "power_db", "delta_h": "delta_h", "mean_c": "mean_c"}
+    columns: ClassVar[dict[str, int]] = {"alpha": 0, "p_db": 1, "delta_h": 2}
 
     powers_db: tuple[float, ...] = (25.0, 30.0)
     alpha_grid: tuple[float, ...] = tuple(
@@ -194,8 +192,7 @@ class Fig4Config(_Secrecy):
     experiment: ClassVar[str] = "fig4"
     one_entry: ClassVar[tuple[str, ...]] = ("delta_h_values",)
     rules: ClassVar[dict] = {"alpha": unit_interval}  # alpha = 0 is S = 0, no signal
-    columns: ClassVar[dict[str, str]] = {
-        "p_db": "power_db", "sigma_A2_db": "sigma_A2_db", "mean_c": "mean_c"}
+    columns: ClassVar[dict[str, int]] = {"p_db": 1, "sigma_A2_db": 3}
 
     powers_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     sigma_A2_db_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)

@@ -121,17 +121,6 @@ class SecrecySweep:
         return self.sigma_z2 + db_to_linear(self.sigma_a2_db)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Mean secrecy metrics at one sweep coordinate."""
-
-    alpha: float
-    power_db: float
-    delta_h: float
-    sigma_A2_db: float
-    mean_c: float
-
-
 # leaf size of the blocked sweep: a few float64 buffers of this length stay
 # in cache while every sweep point is evaluated on them, and each ufunc call
 # on a leaf is long enough that worker threads rarely wait for the GIL
@@ -230,11 +219,14 @@ def _log2_cancels(noise: float) -> bool:
     return not (np.any(run) or np.any(np.signbit(run)))
 
 
-def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[SweepResult]:
+def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> np.ndarray:
     """Average the secrecy capacity over fading realizations per sweep point.
 
-    Deterministic given the seed; all sweep points share one set of channel
-    draws so monotonicity comparisons are paired.  n_samples (at least 1)
+    Returns the float64 means, shaped (len(alpha_grid), len(power_db_grid),
+    len(delta_h_grid), len(sigma_A2_db_grid)), so the .flat order is
+    itertools.product over the four grids.  Deterministic given the seed;
+    all sweep points share one set of channel draws so monotonicity
+    comparisons are paired.  n_samples (at least 1)
     and seed (at least 0) must be integers.  A draw whose largest S h2 plus
     noise overflows is rejected, since its means would be NaN.
 
@@ -320,8 +312,4 @@ def monte_carlo_secrecy(sweep: SecrecySweep, n_samples: int, seed: int) -> list[
         raise errors[0]
     means = np.zeros((len(signals), n_dh, n_sA2))
     means[live] = _tree_sum(iter(leaf_sums), n_samples) / n_samples
-
-    # a coordinate (alpha, power_db, delta_h, sigma_A2_db), then its mean c
-    coords = product(sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid,
-                     sweep.sigma_A2_db_grid)
-    return [SweepResult(*coord, float(mean)) for coord, mean in zip(coords, means.flat)]
+    return means.reshape(len(sweep.alpha_grid), len(sweep.power_db_grid), n_dh, n_sA2)

@@ -54,19 +54,14 @@ def test_criterion_1_fig3_trends():
         sigma_a2_db=25.0,
         sigma_z2=1.0,
     )
-    results = monte_carlo_secrecy(sweep, 10**5, seed=11)
-    curves = {}
-    for r in results:
-        curves.setdefault((r.power_db, r.delta_h), []).append((r.alpha, r.mean_c))
-    # nondecreasing in alpha on every curve, zero violations
-    for key, curve in curves.items():
-        cs = [c for _, c in sorted(curve)]
-        assert all(lo <= hi for lo, hi in zip(cs, cs[1:])), key
+    means = monte_carlo_secrecy(sweep, 10**5, seed=11)
+    # means[:, j, k, 0] is the curve over the ascending alpha grid at power j
+    # and delta_h k: nondecreasing on every curve, zero violations
+    for j, k in np.ndindex(means.shape[1:3]):
+        curve = means[:, j, k, 0]
+        assert (curve[1:] >= curve[:-1]).all(), (sweep.power_db_grid[j], sweep.delta_h_grid[k])
     # delta_h > 0 dominates delta_h = 0 at every (alpha, power)
-    for p_db in (25.0, 30.0):
-        weak = dict(curves[(p_db, 0.0)])
-        strong = dict(curves[(p_db, 1.0)])
-        assert all(strong[a] >= weak[a] for a in weak)
+    assert (means[:, :, 1] >= means[:, :, 0]).all()
     elapsed = time.time() - start
     assert elapsed < 60.0
     report(1, f"secrecy capacity nondecreasing in alpha and dominated by "
@@ -81,24 +76,15 @@ def test_criterion_2_fig4_trends():
         sigma_A2_db_grid=(0.0, 5.0, 10.0, 15.0, 20.0),
         sigma_a2_db=25.0,
     )
-    results = monte_carlo_secrecy(sweep, 10**5, seed=13)
-    by_power = {}
-    by_sigma = {}
-    for r in results:
-        by_power.setdefault(r.power_db, []).append((r.sigma_A2_db, r.mean_c))
-        by_sigma.setdefault(r.sigma_A2_db, []).append((r.power_db, r.mean_c))
+    # one row per power, one column per sigma_A2, both grids ascending
+    means = monte_carlo_secrecy(sweep, 10**5, seed=13)[0, :, 0, :]
     # nonincreasing as sigma_A2 grows, at every power
-    for curve in by_power.values():
-        cs = [c for _, c in sorted(curve)]
-        assert all(hi <= lo for lo, hi in zip(cs, cs[1:]))
+    assert (means[:, 1:] <= means[:, :-1]).all()
     # the sigma_A2 = 0 dB curve dominates every other curve
-    top = dict(by_sigma[0.0])
-    for s, curve in by_sigma.items():
-        assert all(top[p] >= c for p, c in curve)
+    assert sweep.sigma_A2_db_grid[0] == 0.0
+    assert (means[:, :1] >= means).all()
     # nondecreasing in transmit power on every sigma_A2 curve
-    for curve in by_sigma.values():
-        cs = [c for _, c in sorted(curve)]
-        assert all(lo <= hi for lo, hi in zip(cs, cs[1:]))
+    assert (means[1:] >= means[:-1]).all()
     report(2, "secrecy capacity nonincreasing in sigma_A2, 0 dB curve dominant, "
               "nondecreasing in transmit power")
 

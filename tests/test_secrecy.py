@@ -12,7 +12,6 @@ from airfl import secrecy
 from airfl.channel import MAX_DB, ChannelConfig, db_to_linear, sample_gains
 from airfl.secrecy import (
     SecrecySweep,
-    SweepResult,
     _BLOCK,
     _tree_blocks,
     _tree_sum,
@@ -107,6 +106,12 @@ class TestSecrecyPoint:
             point(**{name: value})
 
 
+def assert_same_bits(a, b):
+    """Equal shapes and bytes: unlike ==, this tells -0.0 from +0.0."""
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def base_sweep(**kw):
     base = dict(
         alpha_grid=tuple(np.round(np.arange(0.0, 0.51, 0.05), 2)),
@@ -119,45 +124,39 @@ def base_sweep(**kw):
 
 class TestMonteCarloSecrecy:
     def test_alpha_zero_means_zero_secrecy(self):
-        results = monte_carlo_secrecy(base_sweep(), 1000, seed=1)
-        for r in results:
-            if r.alpha == 0.0:
-                assert r.mean_c == 0.0
+        sweep = base_sweep()
+        means = monte_carlo_secrecy(sweep, 1000, seed=1)
+        assert sweep.alpha_grid[0] == 0.0
+        assert (means[0] == 0.0).all()
 
     def test_engine_is_mean_of_secrecy_point(self):
         sweep = base_sweep(
             alpha_grid=(0.25,), power_db_grid=(10.0,), delta_h_grid=(0.5,),
             sigma_A2_db_grid=(3.0,),
         )
-        res = monte_carlo_secrecy(sweep, 100, seed=2)[0]
+        (mean_c,) = monte_carlo_secrecy(sweep, 100, seed=2).flat
         h2 = sample_gains(ChannelConfig(), 100, np.random.default_rng(2))
         per_sample = [secrecy_point(
             alpha_a=0.25, P_a=db_to_linear(10.0), L_s=1.0, h2_a=h,
             h2_ev=max(h - 0.5, 0.0), sigma_z2=1.0, sigma_a2=db_to_linear(25.0),
             sigma_zprime2=1.0 + db_to_linear(3.0),
         ) for h in h2]
-        assert res.mean_c > 0
-        assert res.mean_c == pytest.approx(np.mean([p.c for p in per_sample]), rel=1e-12)
+        assert mean_c > 0
+        assert mean_c == pytest.approx(np.mean([p.c for p in per_sample]), rel=1e-12)
 
     def test_nondecreasing_in_alpha(self):
-        results = monte_carlo_secrecy(base_sweep(), 5000, seed=3)
-        by_curve = {}
-        for r in results:
-            by_curve.setdefault((r.power_db, r.delta_h), []).append((r.alpha, r.mean_c))
-        for curve in by_curve.values():
-            cs = [c for _, c in sorted(curve)]
-            assert all(lo <= hi for lo, hi in zip(cs, cs[1:]))
+        # the alpha grid ascends, so axis 0 of the means runs along each curve
+        means = monte_carlo_secrecy(base_sweep(), 5000, seed=3)
+        assert (means[1:] >= means[:-1]).all()
 
     def test_delta_h_ordering(self):
-        results = monte_carlo_secrecy(base_sweep(), 5000, seed=4)
-        weak = {(r.alpha, r.power_db): r.mean_c for r in results if r.delta_h == 0.0}
-        strong = {(r.alpha, r.power_db): r.mean_c for r in results if r.delta_h == 1.0}
-        assert all(strong[key] >= weak[key] for key in weak)
+        means = monte_carlo_secrecy(base_sweep(), 5000, seed=4)  # delta_h 0, then 1
+        assert (means[:, :, 1] >= means[:, :, 0]).all()
 
     def test_deterministic(self):
         a = monte_carlo_secrecy(base_sweep(), 2000, seed=5)
         b = monte_carlo_secrecy(base_sweep(), 2000, seed=5)
-        assert a == b
+        assert_same_bits(a, b)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="empty sweep"):
@@ -182,8 +181,8 @@ class TestMonteCarloSecrecy:
             monte_carlo_secrecy(base_sweep(), **{"n_samples": 10, "seed": 0, **kw})
 
     def test_numpy_integers_accepted(self):
-        assert (monte_carlo_secrecy(base_sweep(), np.int64(100), seed=np.uint8(3))
-                == monte_carlo_secrecy(base_sweep(), 100, seed=3))
+        assert_same_bits(monte_carlo_secrecy(base_sweep(), np.int64(100), seed=np.uint8(3)),
+                         monte_carlo_secrecy(base_sweep(), 100, seed=3))
 
 
 class TestSweepValidation:
@@ -255,7 +254,7 @@ class TestSweepValidation:
             monte_carlo_secrecy(sweep, 1000, seed=0)
 
     def test_noiseless_receiver_allowed(self):
-        assert len(monte_carlo_secrecy(base_sweep(sigma_z2=0.0), 10, seed=0)) == 44
+        assert monte_carlo_secrecy(base_sweep(sigma_z2=0.0), 10, seed=0).shape == (11, 2, 2, 1)
 
 
 def reference_sweep(sweep, n_samples, seed):
@@ -263,21 +262,17 @@ def reference_sweep(sweep, n_samples, seed):
     rng = np.random.default_rng(seed)
     h2 = sample_gains(ChannelConfig(), n_samples, rng)
     ev_noise = sweep.sigma_z2 + db_to_linear(sweep.sigma_a2_db)
-    results = []
-    for alpha, p_db, delta_h, sA2_db in product(
-        sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid
-    ):
+    grids = (sweep.alpha_grid, sweep.power_db_grid, sweep.delta_h_grid, sweep.sigma_A2_db_grid)
+    means = []
+    for alpha, p_db, delta_h, sA2_db in product(*grids):
         S = np.sqrt(alpha * db_to_linear(p_db)) / sweep.L_s
         sigma_zprime2 = db_to_linear(sA2_db) + sweep.sigma_z2
         h2_ev = np.maximum(h2 - delta_h, 0.0)
         c_s = np.log2(S * h2 + sigma_zprime2) - np.log2(sigma_zprime2)
         c_ev = np.log2(S * h2_ev + ev_noise) - np.log2(ev_noise)
         c = np.maximum(c_s - c_ev, 0.0)
-        results.append(SweepResult(
-            alpha=alpha, power_db=p_db, delta_h=delta_h, sigma_A2_db=sA2_db,
-            mean_c=float(c.mean()),
-        ))
-    return results
+        means.append(c.mean())
+    return np.array(means).reshape([len(grid) for grid in grids])
 
 
 # n around the block size and the 8-element split alignment of the sum tree
@@ -309,7 +304,7 @@ class TestBlockedEngineExact:
     @pytest.mark.parametrize("name", sorted(EXACT_SWEEPS))
     def test_matches_full_array_loop(self, name, n):
         sweep = EXACT_SWEEPS[name]
-        assert monte_carlo_secrecy(sweep, n, seed=n) == reference_sweep(sweep, n, seed=n)
+        assert_same_bits(monte_carlo_secrecy(sweep, n, seed=n), reference_sweep(sweep, n, seed=n))
 
     @pytest.mark.parametrize("cancels", [True, False])
     @pytest.mark.parametrize("name", ["fig3", "mixed"])
@@ -328,11 +323,11 @@ class TestBlockedEngineExact:
         monkeypatch.setattr(secrecy, "_leaf_sums", counted)
         if not cancels:
             monkeypatch.setattr(secrecy, "_log2_cancels", lambda noise: False)
-        results = monte_carlo_secrecy(sweep, n, seed=n)
-        assert results == reference_sweep(sweep, n, seed=n)
-        zero = [r for r in results if r.alpha == 0.0]
-        assert zero and all(r.mean_c == 0.0 and not np.signbit(r.mean_c) for r in zero)
-        assert evaluated == {len(results) - (len(zero) if cancels else 0)}
+        means = monte_carlo_secrecy(sweep, n, seed=n)
+        assert_same_bits(means, reference_sweep(sweep, n, seed=n))
+        zero = means[np.array(sweep.alpha_grid) == 0.0]
+        assert zero.size and (zero == 0.0).all() and not np.signbit(zero).any()
+        assert evaluated == {means.size - (zero.size if cancels else 0)}
 
     @pytest.mark.parametrize("n", TREE_LENGTHS + (3 * 10**6,))
     def test_tree_sum_matches_add_reduce(self, n):
@@ -385,7 +380,8 @@ class TestParallelLeaves:
         if block is not None:
             monkeypatch.setattr(secrecy, "_BLOCK", block)
         monkeypatch.setattr(secrecy, "_cpu_count", lambda: workers)
-        assert monte_carlo_secrecy(EXACT_SWEEPS[name], n, seed=n) == reference_results(name, n)
+        assert_same_bits(monte_carlo_secrecy(EXACT_SWEEPS[name], n, seed=n),
+                         reference_results(name, n))
 
     def test_many_workers_under_short_switch_interval(self, monkeypatch,
                                                        reference_results):
@@ -396,10 +392,10 @@ class TestParallelLeaves:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001)
+            means = monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001)
         finally:
             sys.setswitchinterval(interval)
-        assert results == reference_results("mixed", 5_001)
+        assert_same_bits(means, reference_results("mixed", 5_001))
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         # every worker thread fails its leaves, and the calling thread holds
@@ -504,8 +500,8 @@ class TestParallelLeaves:
         monkeypatch.setattr(secrecy, "_BLOCK", 1000)
         monkeypatch.setattr(secrecy, "_cpu_count", lambda: 1)
         monkeypatch.setattr(secrecy.threading, "Thread", no_thread)
-        assert (monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001)
-                == reference_results("mixed", 5_001))
+        assert_same_bits(monte_carlo_secrecy(EXACT_SWEEPS["mixed"], 5_001, seed=5_001),
+                         reference_results("mixed", 5_001))
 
     def test_worker_count_is_the_usable_cpus(self, monkeypatch):
         if hasattr(secrecy.os, "sched_getaffinity"):
