@@ -30,7 +30,6 @@ from .fl_core import (
     train_over_air,
 )
 from .pcran import (
-    BetaAllocation,
     NoiseStats,
     Pairing,
     PairSecret,

@@ -35,7 +35,8 @@ class LinkPlan:
     factor target / gains_k applied to the drawn noise (1 where gains_k = 0).
     loc and scale are (rows, 1) columns of the Gaussian law of each row a
     round draws: user k's PCR-AN mean and sd from its pair role in row k,
-    then N(0, sigma_z2) for the receiver when sigma_z2 > 0.
+    then N(0, sigma_z2) for the receiver in row K when sigma_z2 > 0, the one
+    place a plan states the receiver noise.
     """
 
     sig_amp: np.ndarray
@@ -46,7 +47,6 @@ class LinkPlan:
     scale: np.ndarray
     m: float
     L_s: float
-    sigma_z2: float
     noise_stats: NoiseStats
 
 
@@ -134,7 +134,6 @@ def plan_link(
         scale=scale[:, None],
         m=alloc.m,
         L_s=alloc.L_s,
-        sigma_z2=sigma_z2,
         noise_stats=stats,
     )
 
@@ -161,16 +160,17 @@ def _gaussian(rng: Generator, loc, scale, out: np.ndarray) -> np.ndarray:
 def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarray:
     """Received noise of a batch of rounds, shape (rounds, K + 1, d).
 
-    Row 0 of a round is the receiver noise (zeros when sigma_z2 = 0), row
-    1 + k user k's PCR-AN as received, noise_amp_k * equalize_k * n_k.  One
-    Gaussian fill reads each round's users in index order, then its receiver
-    row; standard_normal keeps no state between calls, so a batch of R rounds
-    reads what R one-round batches do.
+    Row 0 of a round is the receiver noise (zeros when the plan has no
+    receiver row, as at sigma_z2 = 0), row 1 + k user k's PCR-AN as received,
+    noise_amp_k * equalize_k * n_k.  One Gaussian fill reads each round's
+    users in index order, then its receiver row; standard_normal keeps no
+    state between calls, so a batch of R rounds reads what R one-round
+    batches do.
     """
     K = len(plan.sig_amp)
     z = _gaussian(rng, plan.loc, plan.scale, np.empty((rounds, len(plan.scale), d)))
     slab = np.empty((rounds, K + 1, d))
-    slab[:, 0] = z[:, K] if plan.sigma_z2 > 0 else 0.0
+    slab[:, 0] = z[:, K] if len(plan.scale) > K else 0.0
     noise = np.multiply(z[:, :K], plan.equalize[:, None], out=slab[:, 1:])
     noise *= plan.noise_amp[:, None]
     return slab
@@ -251,7 +251,8 @@ def simulate_aggregation_rounds(
     axis in turn, a block of at most _NOISE_BLOCK doubles at a time into one
     reused buffer, so memory stays at one (n_rounds, d) array plus one block
     whatever K is; the stream and the sums are those of one whole-array
-    Generator.normal per user.
+    Generator.normal per user.  Once the link is planned, only the plan is
+    read: its receiver row gives the receiver's law, its m the 1/(mK).
     """
     count("n_rounds", n_rounds)
     plan = plan_link(h2, alloc, pairing, secrets, sigma_z2)
@@ -263,8 +264,7 @@ def simulate_aggregation_rounds(
     c = equalized_gain(plan.gains)
     # receiver sees c * n_k per user; draw the scaled noise directly
     laws = [(c * plan.loc[k, 0], c * plan.scale[k, 0]) for k in range(K) if plan.gains[k] > 0]
-    if sigma_z2 > 0:
-        laws.append((0.0, np.sqrt(sigma_z2)))
+    laws += zip(plan.loc[K:, 0], plan.scale[K:, 0])  # the receiver's row, if any
 
     received = np.tile(signal, (n_rounds, 1))
     rows = max(1, _NOISE_BLOCK // d)
@@ -273,5 +273,5 @@ def simulate_aggregation_rounds(
         for start in range(0, n_rounds, rows):
             block = received[start:start + rows]
             block += _gaussian(rng, loc, scale, buf[:len(block)])
-    received /= alloc.m * K
+    received /= plan.m * K
     return received

@@ -16,10 +16,6 @@ from numpy.random import Generator
 from ._checks import (count, finite, nonnegative, open_unit_interval, positive,
                       positive_fraction, unit_interval)
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
-
 @dataclass(frozen=True)
 class PairSecret:
     """Shared (mu, sigma2_pos, sigma2_neg) defining one pair's noise laws.
@@ -43,10 +39,6 @@ class Pairing:
     """Perfect matching of users into (positive, negative) role pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def num_users(self) -> int:
-        return 2 * len(self.pairs)
 
     def __post_init__(self) -> None:
         seen = [u for pair in self.pairs for u in pair]
@@ -83,14 +75,6 @@ class NoiseStats:
     estimator_var: float
 
 
-@dataclass(frozen=True)
-class BetaAllocation:
-    """Result of the privacy-driven noise power allocation."""
-
-    beta: np.ndarray
-    psi: float
-
-
 def form_pairs(K: int, rng: Generator) -> Pairing:
     """Randomly match K users (K even) into positive/negative role pairs."""
     if count("K", K, 2) % 2 != 0:
@@ -115,9 +99,9 @@ def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
 def draw_pcran(secret: PairSecret, role: str, dim: int, rng: Generator) -> np.ndarray:
     """Sample one user's artificial-noise vector for its pair role."""
     count("dim", dim)
-    if role == POSITIVE:
+    if role == "positive":
         mean, var = secret.mu, secret.sigma2_pos
-    elif role == NEGATIVE:
+    elif role == "negative":
         mean, var = -secret.mu, secret.sigma2_neg
     else:
         raise ValueError(f"role must be 'positive' or 'negative', got {role!r}")
@@ -167,8 +151,8 @@ def optimize_beta_dp(
     sigma_z2: float,
     caps: np.ndarray,
     alpha: np.ndarray | None = None,
-) -> BetaAllocation:
-    """Privacy-driven sequential noise-power allocation.
+) -> tuple[np.ndarray, float]:
+    """Privacy-driven sequential noise-power allocation: returns (beta, psi).
 
     The total noise-power demand is
     Psi = max_p (min_q |h_q|^2 P_q / eps_p) * ln(1.25/delta) - sigma_z2,
@@ -204,8 +188,7 @@ def optimize_beta_dp(
         beta[k] = z_k / eff[k]
         used += eff[k] * beta[k]
 
-    return BetaAllocation(beta=np.clip(beta, 0.0, 1.0 - np.asarray(alpha, dtype=float)),
-                          psi=psi)
+    return np.clip(beta, 0.0, 1.0 - np.asarray(alpha, dtype=float)), psi
 
 
 def noise_gains(h2: np.ndarray, P: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -239,7 +222,7 @@ def aggregate_noise_stats(
         nonnegative(name, value, ndim=1)
     nonnegative("sigma_z2", sigma_z2)
     positive("alignment constant m", m)
-    K = pairing.num_users
+    K = 2 * len(pairing.pairs)
     if K == 0:
         raise ValueError("pairing has no pairs: there are no users to aggregate")
     sizes = [np.size(h2), np.size(P), np.size(beta)]

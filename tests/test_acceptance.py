@@ -203,11 +203,11 @@ def test_criterion_7_bound_validity():
 
 
 def test_criterion_8_dp_allocation():
-    out = optimize_beta_dp(
+    beta, psi = optimize_beta_dp(
         np.array([1.0]), np.array([1.0]), np.array([10.0]), 0.25, 1.0,
         caps=np.array([5.0]),
     )
-    assert out.beta == pytest.approx([0.0])
+    assert beta == pytest.approx([0.0])
     r = np.random.default_rng(51)
     for _ in range(10**4):
         K = int(r.integers(1, 13))
@@ -217,11 +217,11 @@ def test_criterion_8_dp_allocation():
         delta = r.uniform(1e-6, 0.5)
         caps = r.uniform(0.0, 100.0, K)
         alpha = r.uniform(0.0, 1.0, K)
-        out = optimize_beta_dp(h2, P, eps, delta, r.uniform(0.0, 2.0), caps,
-                               alpha=alpha)
-        assert np.all(out.beta >= 0.0)
-        assert np.all(out.beta <= 1.0 - alpha + 1e-12)
-        assert np.sum(h2 * out.beta * P) <= max(out.psi, 0.0) + 1e-9
+        beta, psi = optimize_beta_dp(h2, P, eps, delta, r.uniform(0.0, 2.0), caps,
+                                     alpha=alpha)
+        assert np.all(beta >= 0.0)
+        assert np.all(beta <= 1.0 - alpha + 1e-12)
+        assert np.sum(h2 * beta * P) <= max(psi, 0.0) + 1e-9
     report(8, "beta allocation feasible (range and cumulative power) across "
               "1e4 random instances; weak-privacy instance returns beta=0")
 

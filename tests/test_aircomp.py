@@ -274,17 +274,18 @@ class TestRoundKernelContract:
         assert np.array_equal(bits(block[:, 0]), bits(np.zeros((3, 3))))
 
 
-def reference_aggregation_rounds(gradients, plan, n_rounds, gen):
+def reference_aggregation_rounds(gradients, plan, sigma_z2, n_rounds, gen):
     """Monte Carlo rounds with one whole-array Generator.normal per user with
-    a noise gain, then one for the receiver, summed from the signal on."""
+    a noise gain, then one N(0, sigma_z2) for the receiver, summed from the
+    signal on; the receiver law is the test's own, not read from the plan."""
     K, d = gradients.shape
     c = equalized_gain(plan.gains)
     received = np.tile(plan.sig_amp @ clip_gradient(gradients, plan.L_s), (n_rounds, 1))
     for k in range(K):
         if plan.gains[k] > 0:
             received += gen.normal(c * plan.loc[k, 0], c * plan.scale[k, 0], size=(n_rounds, d))
-    if plan.sigma_z2 > 0:
-        received += gen.normal(0.0, np.sqrt(plan.sigma_z2), size=(n_rounds, d))
+    if sigma_z2 > 0:
+        received += gen.normal(0.0, np.sqrt(sigma_z2), size=(n_rounds, d))
     return received / (plan.m * K)
 
 
@@ -304,7 +305,7 @@ class TestAggregationRoundsExact:
         gen_blocks, gen_ref = rng(12), rng(12)
         est = simulate_aggregation_rounds(grads, h2, alloc, pairing, secrets, sigma_z2,
                                           n_rounds, gen_blocks)
-        ref = reference_aggregation_rounds(grads, plan, n_rounds, gen_ref)
+        ref = reference_aggregation_rounds(grads, plan, sigma_z2, n_rounds, gen_ref)
         assert est.shape == (n_rounds, d)
         assert np.array_equal(bits(est), bits(ref))
         assert gen_blocks.bit_generator.state == gen_ref.bit_generator.state
@@ -430,7 +431,7 @@ class TestLinkPlan:
         assert plan.noise_amp * plan.equalize == pytest.approx(np.full(2, plan.gains.min()))
 
 
-class TestPostprocess:
+class TestRescaleByOneOverMK:
     """The rescaling step of the round kernel: s_hat = r / (mK)."""
 
     def test_noiseless_equal_gains_mean(self):

@@ -16,7 +16,7 @@ from airfl.aircomp import LinkPlan, plan_link, simulate_aggregation_rounds
 from airfl.channel import ChannelConfig
 from airfl.experiments import SCHEMAS, config_from_dict, run_experiment
 from airfl.fl_core import BoundInputs, SyntheticTask, draw_link
-from airfl.pcran import BetaAllocation, NoiseStats, PairSecret, aggregate_noise_stats
+from airfl.pcran import NoiseStats, PairSecret, aggregate_noise_stats, optimize_beta_dp
 from airfl.secrecy import SecrecySweep, monte_carlo_secrecy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,11 +40,18 @@ def test_model_api_is_pinned():
         ("U", True), ("V", True), ("reg_lambda", True), ("mu", False)]
     assert names(PairSecret) == ["mu", "sigma2_pos", "sigma2_neg"]
     assert names(NoiseStats) == ["M", "sigma_A2", "sigma_zprime2", "estimator_var"]
-    assert names(BetaAllocation) == ["beta", "psi"]
-    # one PCR-AN law per user: loc and scale rows, nothing held twice
+    # the privacy allocation is (beta, psi): one float64 beta per user and
+    # the total noise-power demand as a Python float
+    allocation = optimize_beta_dp(np.ones(3), np.ones(3), np.ones(3), 0.1, 0.0, np.ones(3))
+    assert isinstance(allocation, tuple) and len(allocation) == 2
+    beta, psi = allocation
+    assert isinstance(beta, np.ndarray) and beta.dtype == np.float64 and beta.shape == (3,)
+    assert type(psi) is float
+    # one PCR-AN law per user: loc and scale rows, nothing held twice; the
+    # receiver noise is the plan's last law row, not a field of its own
     assert names(LinkPlan) == [
         "sig_amp", "noise_amp", "gains", "equalize", "loc", "scale", "m", "L_s",
-        "sigma_z2", "noise_stats"]
+        "noise_stats"]
     assert names(SecrecySweep) == [
         "alpha_grid", "power_db_grid", "delta_h_grid", "sigma_A2_db_grid",
         "sigma_a2_db", "sigma_z2", "L_s"]
@@ -88,8 +95,23 @@ def test_dataclasses_are_pinned():
         "experiments.TrainConfig", "experiments.NoiseCheckConfig",
         "fl_core.SyntheticTask", "fl_core.TrainState", "fl_core.BoundInputs",
         "pcran.PairSecret", "pcran.Pairing", "pcran.PowerAllocation", "pcran.NoiseStats",
-        "pcran.BetaAllocation",
         "secrecy.SecrecyPoint", "secrecy.SecrecySweep"]
+
+
+def test_receiver_noise_law_is_built_once():
+    # plan_link appends the receiver's N(0, sigma_z2) row to the plan's laws,
+    # and both noise engines read it there: sqrt(sigma_z2) is taken once
+    found = []
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sqrt"
+                        and any(getattr(arg, "id", None) == "sigma_z2" for arg in node.args)):
+                    found.append(f"{path.stem}.{fn.name}")
+    assert found == ["aircomp.plan_link"]
 
 
 def test_each_experiment_is_defined_once():

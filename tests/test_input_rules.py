@@ -67,7 +67,7 @@ GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
 # draw_noise, which runs once per batch of a training run and takes
 # its counts from checked settings, so it checks nothing
 EXEMPT = {
-    "BetaAllocation", "LinkPlan", "NoiseStats", "SecrecyPoint", "TrainState",
+    "LinkPlan", "NoiseStats", "SecrecyPoint", "TrainState",
     "Pairing", "PowerAllocation", "BoundInputs", "optimal_model",
     "simulate_round", "draw_noise",
 }

@@ -134,37 +134,37 @@ class TestComputeAlignment:
 class TestOptimizeBetaDp:
     def test_weak_privacy_demand_needs_no_noise(self):
         # Psi = (1/10) ln 5 - 1 < 0 -> all-zero beta
-        out = optimize_beta_dp(
+        beta, psi = optimize_beta_dp(
             np.array([1.0]), np.array([1.0]), np.array([10.0]), 0.25, 1.0,
             caps=np.array([5.0]),
         )
-        assert out.psi == pytest.approx(np.log(5.0) / 10.0 - 1.0)
-        assert out.beta == pytest.approx([0.0])
+        assert psi == pytest.approx(np.log(5.0) / 10.0 - 1.0)
+        assert beta == pytest.approx([0.0])
 
     def test_sequential_waterfilling(self):
         # delta chosen so ln(1.25/delta) = 5 and sigma_z2 = 0 -> Psi = 5 at
         # min |h|^2 P / eps = 1; the caps 3 then fill Z = [3, 2]
         delta = 1.25 * np.exp(-5.0)
-        out = optimize_beta_dp(
+        beta, psi = optimize_beta_dp(
             np.array([1.0, 1.0]), np.array([10.0, 10.0]), np.array([10.0, 10.0]),
             delta, 0.0, caps=np.array([3.0, 3.0]),
         )
-        assert out.psi == pytest.approx(5.0)
-        assert out.beta == pytest.approx([0.3, 0.2])  # Z_k / (|h_k|^2 P_k)
+        assert psi == pytest.approx(5.0)
+        assert beta == pytest.approx([0.3, 0.2])  # Z_k / (|h_k|^2 P_k)
         # with unit power the same fill asks beta = [3, 2], clamped to 1 - alpha = 1
-        out = optimize_beta_dp(
+        beta, psi = optimize_beta_dp(
             np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]),
             delta, 0.0, caps=np.array([3.0, 3.0]),
         )
-        assert out.psi == pytest.approx(5.0)
-        assert out.beta == pytest.approx([1.0, 1.0])
+        assert psi == pytest.approx(5.0)
+        assert beta == pytest.approx([1.0, 1.0])
 
     def test_zero_caps(self):
-        out = optimize_beta_dp(
+        beta, psi = optimize_beta_dp(
             np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]),
             0.1, 1.0, caps=np.array([0.0, 0.0]),
         )
-        assert np.all(out.beta == 0.0)
+        assert np.all(beta == 0.0)
 
     def test_feasibility_random_instances(self):
         r = rng(4)
@@ -176,11 +176,11 @@ class TestOptimizeBetaDp:
             delta = r.uniform(1e-5, 0.5)
             caps = r.uniform(0.0, 50.0, K)
             alpha = r.uniform(0.0, 1.0, K)
-            out = optimize_beta_dp(h2, P, eps, delta, 1.0, caps, alpha=alpha)
-            assert np.all(out.beta >= 0.0)
-            assert np.all(out.beta <= 1.0 - alpha + 1e-12)
-            used = np.sum(h2 * out.beta * P)
-            assert used <= max(out.psi, 0.0) + 1e-9
+            beta, psi = optimize_beta_dp(h2, P, eps, delta, 1.0, caps, alpha=alpha)
+            assert np.all(beta >= 0.0)
+            assert np.all(beta <= 1.0 - alpha + 1e-12)
+            used = np.sum(h2 * beta * P)
+            assert used <= max(psi, 0.0) + 1e-9
 
     def test_bad_inputs(self):
         h2, P = np.array([1.0]), np.array([1.0])
