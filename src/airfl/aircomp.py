@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 from ._checks import count, finite, positive, unit_interval
 from .channel import awgn  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
@@ -143,7 +142,7 @@ def plan_link(
 _NOISE_BLOCK = 1 << 14
 
 
-def _gaussian(rng: Generator, loc, scale, out: np.ndarray) -> np.ndarray:
+def _gaussian(rng: np.random.Generator, loc, scale, out: np.ndarray) -> np.ndarray:
     """Fill out with N(loc, scale^2) draws and return it.
 
     Generator.normal(loc, scale) reads the same standard normals n and
@@ -157,7 +156,7 @@ def _gaussian(rng: Generator, loc, scale, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: Generator) -> np.ndarray:
+def draw_noise(plan: LinkPlan, rounds: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Received noise of a batch of rounds, shape (rounds, K + 1, d).
 
     Row 0 of a round is the receiver noise (zeros when the plan has no
@@ -241,7 +240,7 @@ def simulate_aggregation_rounds(
     secrets: list[PairSecret],
     sigma_z2: float,
     n_rounds: int,
-    rng: Generator,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized Monte Carlo of many independent rounds with fixed gradients.
 

@@ -13,7 +13,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 # MAX_DB, the largest dB value with a finite linear power, is re-exported here
 from ._checks import MAX_DB, count, decibels, nonnegative
@@ -42,7 +41,7 @@ class ChannelConfig:
         return "rayleigh" if self.fixed_gains is None else "fixed"
 
 
-def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
+def sample_channel(config: ChannelConfig, K: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the linear power gains |h_k|^2 of K users' server links.
 
     In rayleigh mode |h_k|^2 is exponential with unit mean; in fixed mode the
@@ -58,7 +57,7 @@ def sample_channel(config: ChannelConfig, K: int, rng: Generator) -> np.ndarray:
     return np.asarray(config.fixed_gains, dtype=float)
 
 
-def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
+def sample_gains(config: ChannelConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. Rayleigh server-link power gains (Monte Carlo helper)."""
     if config.fading_mode != "rayleigh":
         raise ValueError(f"sample_gains draws Rayleigh gains, got fading_mode "
@@ -67,7 +66,7 @@ def sample_gains(config: ChannelConfig, n: int, rng: Generator) -> np.ndarray:
     return h2
 
 
-def gain_blocks(n: int, rng: Generator, blocks: list[slice]) -> Iterator[np.ndarray]:
+def gain_blocks(n: int, rng: np.random.Generator, blocks: list[slice]) -> Iterator[np.ndarray]:
     """Draw sample_gains' n Rayleigh gains block by block, with no config.
 
     `blocks` must tile range(n) left to right.  The call draws and squares
@@ -86,14 +85,14 @@ def gain_blocks(n: int, rng: Generator, blocks: list[slice]) -> Iterator[np.ndar
     return (_add_imaginary_parts(h2[block], rng) for block in blocks)
 
 
-def _add_imaginary_parts(gains: np.ndarray, rng: Generator) -> np.ndarray:
+def _add_imaginary_parts(gains: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Add squared N(0, 1/2) draws to the squared real parts `gains`, in place."""
     im = rng.normal(0.0, np.sqrt(0.5), size=gains.size)
     gains += np.square(im, out=im)
     return gains
 
 
-def awgn(dim: int, sigma2: float, rng: Generator) -> np.ndarray:
+def awgn(dim: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Zero-mean i.i.d. Gaussian receiver noise with variance sigma2."""
     nonnegative("sigma2", sigma2)
     count("dim", dim)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator
 
 from ._checks import count, finite, nonnegative, positive, unit_interval
 from .aircomp import (
@@ -106,7 +105,7 @@ def make_task(
     n_per_user: int,
     d: int,
     reg_lambda: float,
-    rng: Generator,
+    rng: np.random.Generator,
 ) -> SyntheticTask:
     """Generate a synthetic ridge task with a known planted model."""
     K, n_per_user, d = count("K", K), count("n_per_user", n_per_user), count("d", d)
@@ -217,7 +216,7 @@ def draw_link(
     L_s: float,
     alpha_cap: float,
     beta: float,
-    rng: Generator,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, PowerAllocation, Pairing, list[PairSecret]]:
     """Draw one run's link: gains, power split, pairs and secrets, in that order.
 
@@ -238,7 +237,7 @@ def draw_link(
 def train_over_air(
     task: SyntheticTask,
     channel_config: ChannelConfig,
-    rng: Generator,
+    rng: np.random.Generator,
     *,
     T: int,
     L_s: float = 1.0,

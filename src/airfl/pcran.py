@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 from ._checks import (count, finite, nonnegative, open_unit_interval, positive,
                       positive_fraction, unit_interval)
@@ -75,7 +74,7 @@ class NoiseStats:
     estimator_var: float
 
 
-def form_pairs(K: int, rng: Generator) -> Pairing:
+def form_pairs(K: int, rng: np.random.Generator) -> Pairing:
     """Randomly match K users (K even) into positive/negative role pairs."""
     if count("K", K, 2) % 2 != 0:
         raise ValueError(f"pairwise noise needs an even number of users, got K={K}")
@@ -84,7 +83,7 @@ def form_pairs(K: int, rng: Generator) -> Pairing:
     return Pairing(pairs=pairs)
 
 
-def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
+def draw_secrets(n_pairs: int, rng: np.random.Generator) -> list[PairSecret]:
     """Draw per-pair secrets: mu uniform in [0.5, 1.5] and unit variances,
     each still read as a uniform on [1, 1] (three uniforms per pair)."""
     secrets = []
@@ -96,7 +95,7 @@ def draw_secrets(n_pairs: int, rng: Generator) -> list[PairSecret]:
     return secrets
 
 
-def draw_pcran(secret: PairSecret, role: str, dim: int, rng: Generator) -> np.ndarray:
+def draw_pcran(secret: PairSecret, role: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Sample one user's artificial-noise vector for its pair role."""
     count("dim", dim)
     if role == "positive":

@@ -311,7 +311,7 @@ class TestAggregationRoundsExact:
         assert gen_blocks.bit_generator.state == gen_ref.bit_generator.state
 
 
-class TestBuildTransmit:
+class TestPayloadMTimesSk:
     """The transmit step of the round kernel: sig_amp * s_k + noise_amp * n_k."""
 
     def test_gradient_part_is_m_times_s(self):

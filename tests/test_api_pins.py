@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -217,6 +218,38 @@ def test_import_loads_no_process_pools():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_config_validation_loads_no_numpy_random():
+    # `import numpy` does not load numpy.random, and its bit generators pull
+    # in secrets/hmac/hashlib; validating a config must not need them, so the
+    # modules annotate rng as np.random.Generator instead of importing it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys\n"
+             "from airfl.experiments import SCHEMAS, config_from_dict\n"
+             "for name in SCHEMAS: config_from_dict({'experiment': name})\n"
+             "print(sorted(SCHEMAS), 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == f"{sorted(SCHEMAS)} False"
+
+
+def test_rng_annotations_resolve_to_generator():
+    # annotations stay strings until asked for, so a stale name in one would
+    # pass every run; resolve the hint of every def with an rng parameter,
+    # found by walking the modules (a method or nested def fails getattr here)
+    hints = {}
+    for path in sorted((ROOT / "src" / "airfl").glob("*.py")):
+        module = importlib.import_module(f"airfl.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef)
+                    and "rng" in [a.arg for a in node.args.args + node.args.kwonlyargs]):
+                fn = getattr(module, node.name)
+                hints[f"{path.stem}.{node.name}"] = typing.get_type_hints(fn)["rng"]
+    assert {"channel.sample_channel", "channel.gain_blocks", "aircomp._gaussian",
+            "aircomp.draw_noise", "pcran.form_pairs", "fl_core.draw_link",
+            "fl_core.train_over_air"} <= set(hints)
+    assert {name: hint for name, hint in hints.items() if hint is not np.random.Generator} == {}
 
 
 def test_gaussian_draws_share_one_helper_and_block():
