@@ -31,7 +31,6 @@ from .fl_core import (
 )
 from .pcran import (
     NoiseStats,
-    Pairing,
     PairSecret,
     PowerAllocation,
     aggregate_noise_stats,

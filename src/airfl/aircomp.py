@@ -15,7 +15,6 @@ from ._checks import count, finite, positive, unit_interval
 from .channel import awgn  # noqa: F401 -- unused; bench/spans.py wraps aircomp.awgn
 from .pcran import (
     NoiseStats,
-    Pairing,
     PairSecret,
     PowerAllocation,
     aggregate_noise_stats,
@@ -93,31 +92,39 @@ def clip_gradient(g: np.ndarray, L_s: float) -> np.ndarray:
 def plan_link(
     h2: np.ndarray,
     alloc: PowerAllocation,
-    pairing: Pairing,
+    pairing: tuple[tuple[int, int], ...],
     secrets: list[PairSecret],
     sigma_z2: float,
 ) -> LinkPlan:
     """Precompute one run's link invariants and check that they fit together.
 
-    Each user pre-equalizes its noise so the received noise gain is the
-    common minimum, which makes the pairwise means cancel exactly.
+    pairing holds the (positive, negative) user pairs of :func:`form_pairs`,
+    and secrets one :class:`PairSecret` per pair; this is the one place a
+    pairing is checked.  Each user pre-equalizes its noise so the received
+    noise gain is the common minimum, which makes the pairwise means cancel
+    exactly.
     """
     K = len(h2)
     if K == 0:
         raise ValueError("no transmitters: the link has no users")
-    users = sorted(u for pair in pairing.pairs for u in pair)
+    if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairing):
+        raise ValueError(f"each pair must be two user indices, got {pairing!r}")
+    # an index of 2.0 == 2 would pass the matching and then fail in numpy
+    users = sorted(count("paired user", u, 0) for pair in pairing for u in pair)
     if users != list(range(K)):
         raise ValueError(f"pairing is not a perfect matching of users 0..{K - 1}")
+    if len(secrets) != len(pairing):
+        raise ValueError("need one secret per pair")
     if np.size(unit_interval("alpha", alloc.alpha, ndim=1)) != K:
         raise ValueError(f"alpha needs one entry per user ({K}), got {np.size(alloc.alpha)}")
     positive("L_s", alloc.L_s)
-    stats = aggregate_noise_stats(pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
+    stats = aggregate_noise_stats(secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
     equalize = np.divide(target, gains, out=np.ones(K), where=gains > 0)
     loc = np.zeros(K)
     var = np.zeros(K)
-    for (pos, neg), secret in zip(pairing.pairs, secrets):
+    for (pos, neg), secret in zip(pairing, secrets):
         loc[pos], var[pos] = secret.mu, secret.sigma2_pos
         loc[neg], var[neg] = -secret.mu, secret.sigma2_neg
     h = np.sqrt(h2)
@@ -236,7 +243,7 @@ def simulate_aggregation_rounds(
     gradients: np.ndarray,
     h2: np.ndarray,
     alloc: PowerAllocation,
-    pairing: Pairing,
+    pairing: tuple[tuple[int, int], ...],
     secrets: list[PairSecret],
     sigma_z2: float,
     n_rounds: int,

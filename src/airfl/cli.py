@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -55,12 +56,21 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"airfl: error: {exc}", file=sys.stderr)
         return 1
-    if config.out:
-        print(f"wrote {len(rows)} rows to {config.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+    try:
+        if config.out:
+            print(f"wrote {len(rows)} rows to {config.out}")
+        else:
+            print(",".join(header))
+            for row in rows:
+                print(",".join(str(v) for v in row))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); the interpreter's
+        # flush at exit would fail again, so it writes to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -296,9 +296,7 @@ class NoiseCheckConfig(_Config):
             ChannelConfig(sigma_z2=self.sigma_z2), K, db_to_linear(self.powers_db[0]),
             self.L_s, self.alpha, self.beta, rng,
         )
-        stats = aggregate_noise_stats(
-            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, self.sigma_z2
-        )
+        stats = aggregate_noise_stats(secrets, h2, alloc.P, alloc.beta, alloc.m, self.sigma_z2)
         s_hat = simulate_aggregation_rounds(
             np.zeros((K, 1)), h2, alloc, pairing, secrets, self.sigma_z2, n, rng,
         )

@@ -24,7 +24,6 @@ from .aircomp import (
 )
 from .channel import ChannelConfig, sample_channel
 from .pcran import (
-    Pairing,
     PairSecret,
     PowerAllocation,
     compute_alignment,
@@ -217,7 +216,7 @@ def draw_link(
     alpha_cap: float,
     beta: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, PowerAllocation, Pairing, list[PairSecret]]:
+) -> tuple[np.ndarray, PowerAllocation, tuple[tuple[int, int], ...], list[PairSecret]]:
     """Draw one run's link: gains, power split, pairs and secrets, in that order.
 
     Every user transmits at `power`; channel inversion sets m and alpha_k,

@@ -34,18 +34,6 @@ class PairSecret:
 
 
 @dataclass(frozen=True)
-class Pairing:
-    """Perfect matching of users into (positive, negative) role pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = [u for pair in self.pairs for u in pair]
-        if len(set(seen)) != len(seen):
-            raise ValueError("a user appears in more than one pair")
-
-
-@dataclass(frozen=True)
 class PowerAllocation:
     """Per-user power budget and split, plus the alignment constant."""
 
@@ -74,13 +62,12 @@ class NoiseStats:
     estimator_var: float
 
 
-def form_pairs(K: int, rng: np.random.Generator) -> Pairing:
-    """Randomly match K users (K even) into positive/negative role pairs."""
+def form_pairs(K: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """Randomly match K users (K even) into (positive, negative) role pairs."""
     if count("K", K, 2) % 2 != 0:
         raise ValueError(f"pairwise noise needs an even number of users, got K={K}")
     perm = rng.permutation(K)
-    pairs = tuple((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(K // 2))
-    return Pairing(pairs=pairs)
+    return tuple((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(K // 2))
 
 
 def draw_secrets(n_pairs: int, rng: np.random.Generator) -> list[PairSecret]:
@@ -201,7 +188,6 @@ def equalized_gain(gains: np.ndarray) -> float:
 
 
 def aggregate_noise_stats(
-    pairing: Pairing,
     secrets: list[PairSecret],
     h2: np.ndarray,
     P: np.ndarray,
@@ -213,17 +199,17 @@ def aggregate_noise_stats(
 
     Pre-equalization makes every user's effective noise gain the common
     minimum c, so the pairwise means cancel and the aggregated noise term has
-    mean exactly zero.  See :class:`NoiseStats` for the fields.
+    mean exactly zero.  Each secret is one pair of users, so K = 2 len(secrets)
+    and h2, P and beta hold one entry per user.  Which user holds which role
+    does not change the statistics.  See :class:`NoiseStats` for the fields.
     """
-    if len(secrets) != len(pairing.pairs):
-        raise ValueError("need one secret per pair")
     for name, value in (("h2", h2), ("P", P), ("beta", beta)):
         nonnegative(name, value, ndim=1)
     nonnegative("sigma_z2", sigma_z2)
     positive("alignment constant m", m)
-    K = 2 * len(pairing.pairs)
+    K = 2 * len(secrets)
     if K == 0:
-        raise ValueError("pairing has no pairs: there are no users to aggregate")
+        raise ValueError("no pair secrets: there are no users to aggregate")
     sizes = [np.size(h2), np.size(P), np.size(beta)]
     if sizes != [K] * 3:
         # an unpaired user's gain would set the common noise gain c
@@ -231,7 +217,7 @@ def aggregate_noise_stats(
                          f"{sizes[0]}, {sizes[1]} and {sizes[2]} entries")
     c = equalized_gain(noise_gains(h2, P, beta))
     sigma_A2 = float(sum(s.sigma2_pos + s.sigma2_neg for s in secrets))
-    M = float(sum(c for _ in pairing.pairs) / (m * K))
+    M = float(sum(c for _ in secrets) / (m * K))  # c * (K / 2) can differ in the last bit
     # a float power raises OverflowError where the product returns inf, and
     # (mK)^2 is a divisor that must not underflow to 0; the powers below keep
     # their bits, which can differ from the product's in the last place

@@ -21,7 +21,6 @@ from airfl.fl_core import (
 )
 from airfl.pcran import (
     PairSecret,
-    Pairing,
     PowerAllocation,
     aggregate_noise_stats,
     compute_alignment,
@@ -137,10 +136,10 @@ def test_criterion_5_cancellation_unbiasedness():
     assert m * 2 == pytest.approx(1.0, rel=1e-12)
     beta = np.full(2, 0.5)
     alloc = PowerAllocation(P=P, alpha=alpha, beta=beta, m=m, L_s=L_s)
-    pairing = Pairing(pairs=((0, 1),))
+    pairing = ((0, 1),)
     secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
     sigma_z2 = 1.0
-    stats = aggregate_noise_stats(pairing, secrets, h2, P, beta, m, sigma_z2)
+    stats = aggregate_noise_stats(secrets, h2, P, beta, m, sigma_z2)
     predicted_var = (stats.M**2 * stats.sigma_A2 + sigma_z2) / (m * 2) ** 2
 
     gradients = np.array([[0.3, -0.2], [0.1, 0.4]])

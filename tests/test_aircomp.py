@@ -15,7 +15,6 @@ from airfl.aircomp import (
 )
 from airfl.pcran import (
     PairSecret,
-    Pairing,
     PowerAllocation,
     aggregate_noise_stats,
     compute_alignment,
@@ -43,8 +42,8 @@ def make_plan(h2, alloc, secrets=None, sigma_z2=0.0):
     """Plan for users paired (0, 1), (2, 3), ...; unit secrets by default,
     which make no noise when the allocation's beta is 0."""
     h2 = np.asarray(h2, dtype=float)
-    pairing = Pairing(pairs=tuple((i, i + 1) for i in range(0, len(h2), 2)))
-    secrets = secrets or [UNIT] * len(pairing.pairs)
+    pairing = tuple((i, i + 1) for i in range(0, len(h2), 2))
+    secrets = secrets or [UNIT] * len(pairing)
     return plan_link(h2, alloc, pairing, secrets, sigma_z2)
 
 
@@ -74,7 +73,7 @@ def reference_round(gradients, h2, alloc, pairing, secrets, sigma_z2, gen):
     gains = noise_gains(h2, alloc.P, alloc.beta)
     target = equalized_gain(gains)
     laws = {}
-    for i, (pos, neg) in enumerate(pairing.pairs):
+    for i, (pos, neg) in enumerate(pairing):
         laws[pos] = (secrets[i].mu, secrets[i].sigma2_pos)
         laws[neg] = (-secrets[i].mu, secrets[i].sigma2_neg)
     payloads = []
@@ -135,11 +134,10 @@ def random_link(K, d, silent, seed, muted=False):
     h2 = r.exponential(size=K)
     alloc = make_alloc(h2, np.full(K, 1000.0), L_s=1.0, beta=0.5, alpha_cap=0.5)
     perm = r.permutation(K)
-    pairing = Pairing(pairs=tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
-                                  for i in range(K // 2)))
+    pairing = tuple((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(K // 2))
     quiet = [0] if muted else []
     if silent:
-        quiet += list(pairing.pairs[0]) + ([pairing.pairs[1][1]] if K > 2 else [])
+        quiet += list(pairing[0]) + ([pairing[1][1]] if K > 2 else [])
     alloc = replace(alloc, beta=np.where(np.isin(np.arange(K), quiet), 0.0, alloc.beta))
     secrets = [PairSecret(r.uniform(0.5, 1.5), r.uniform(0.5, 2.0),
                           r.uniform(0.5, 2.0)) for _ in range(K // 2)]
@@ -167,8 +165,7 @@ class TestRoundKernelExact:
         # both consumed the stream identically
         assert gen_kernel.random() == gen_loop.random()
         assert plan.noise_stats == aggregate_noise_stats(
-            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2
-        )
+            secrets, h2, alloc.P, alloc.beta, alloc.m, sigma_z2)
 
 
 class TestDrawNoise:
@@ -343,7 +340,7 @@ class TestPayloadMTimesSk:
         assert received(est, alloc) == pytest.approx([alloc.m * 1.0])
 
 
-class TestSuperpose:
+class TestRowSumPlusNoise:
     """The superposition step of the round kernel: z plus every payload."""
 
     def test_sum_plus_noise(self):
@@ -364,7 +361,7 @@ class TestSuperpose:
         empty = np.zeros(0)
         alloc = PowerAllocation(P=empty, alpha=empty, beta=empty, m=1.0, L_s=1.0)
         with pytest.raises(ValueError, match="no transmitters"):
-            plan_link(empty, alloc, Pairing(pairs=()), [], 0.0)
+            plan_link(empty, alloc, (), [], 0.0)
 
     def test_dimension_mismatch(self):
         alloc = make_alloc([1.0, 1.0], [1.0, 1.0])
@@ -400,9 +397,14 @@ class TestLinkPlan:
     def test_pairing_must_cover_every_user(self):
         h2 = np.ones(4)
         alloc = make_alloc(h2, np.ones(4))
-        for pairs in (((0, 1),), ((0, 1), (2, 4))):
-            with pytest.raises(ValueError, match="perfect matching"):
-                plan_link(h2, alloc, Pairing(pairs=pairs), [UNIT] * len(pairs), 0.0)
+        # 2.0 == 2 once passed the matching and failed as a numpy index
+        for pairs, match in ((((0, 1),), "perfect matching"),
+                             (((0, 1), (2, 4)), "perfect matching"),
+                             (((0, 1), (1, 2)), "perfect matching"),
+                             (((0, 1), (2.0, 3)), r"^paired user must be an integer, got 2\.0$"),
+                             (((0, 1), (2, 3, 4)), "two user indices")):
+            with pytest.raises(ValueError, match=match):
+                plan_link(h2, alloc, pairs, [UNIT] * len(pairs), 0.0)
 
     def test_one_secret_per_pair(self):
         alloc = make_alloc([1.0, 1.0], np.ones(2))
@@ -455,7 +457,7 @@ class TestSimulateRound:
     def setup_scenario(self, beta=0.5):
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=beta, alpha_cap=0.5)
-        pairing = Pairing(pairs=((0, 1),))
+        pairing = ((0, 1),)
         secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
         return h2, alloc, pairing, secrets
 
@@ -496,11 +498,9 @@ class TestSimulateRound:
         # two-user point with m*K = 1, where M^-1 * A_t has variance sigma_A2
         h2 = np.array([1.0, 4.0])
         alloc = make_alloc(h2, [1.0, 1.0], L_s=np.sqrt(2.0), beta=0.5, alpha_cap=0.5)
-        pairing = Pairing(pairs=((0, 1),))
+        pairing = ((0, 1),)
         secrets = [PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=2.0)]
-        stats = aggregate_noise_stats(
-            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, 0.0
-        )
+        stats = aggregate_noise_stats(secrets, h2, alloc.P, alloc.beta, alloc.m, 0.0)
         n = 10**6
         a_t = simulate_aggregation_rounds(
             np.zeros((2, 1)), h2, alloc, pairing, secrets, 0.0, n, rng(9)
@@ -513,9 +513,7 @@ class TestSimulateRound:
         # a four-user link with m K != 1, where estimator_var is the one
         # prediction of the per-coordinate variance of s_hat
         h2, alloc, pairing, secrets, _ = random_link(4, 1, False, 21)
-        stats = aggregate_noise_stats(
-            pairing, secrets, h2, alloc.P, alloc.beta, alloc.m, 1.0
-        )
+        stats = aggregate_noise_stats(secrets, h2, alloc.P, alloc.beta, alloc.m, 1.0)
         assert abs(alloc.m * 4 - 1.0) > 0.1
         n = 2 * 10**5
         s_hat = simulate_aggregation_rounds(

@@ -69,8 +69,7 @@ def test_model_api_is_pinned():
     assert names(BoundInputs) == [
         "mu", "lam", "T", "L_s", "d", "m", "K", "noise_power_sum", "sigma_z2"]
     assert params(plan_link) == ["h2", "alloc", "pairing", "secrets", "sigma_z2"]
-    assert params(aggregate_noise_stats) == [
-        "pairing", "secrets", "h2", "P", "beta", "m", "sigma_z2"]
+    assert params(aggregate_noise_stats) == ["secrets", "h2", "P", "beta", "m", "sigma_z2"]
     assert params(simulate_aggregation_rounds) == [
         "gradients", "h2", "alloc", "pairing", "secrets", "sigma_z2",
         "n_rounds", "rng"]
@@ -95,7 +94,7 @@ def test_dataclasses_are_pinned():
         "experiments.Fig4Config", "experiments._Training", "experiments.Fig5Config",
         "experiments.TrainConfig", "experiments.NoiseCheckConfig",
         "fl_core.SyntheticTask", "fl_core.TrainState", "fl_core.BoundInputs",
-        "pcran.PairSecret", "pcran.Pairing", "pcran.PowerAllocation", "pcran.NoiseStats",
+        "pcran.PairSecret", "pcran.PowerAllocation", "pcran.NoiseStats",
         "secrecy.SecrecyPoint", "secrecy.SecrecySweep"]
 
 

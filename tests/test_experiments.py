@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -404,6 +406,23 @@ class TestCli:
         assert main(["fig3", "--samples", "200", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("alpha,p_db,delta_h,mean_c")
+
+    def test_closed_stdout_is_no_traceback(self, tmp_path):
+        # a reader that stops early, as `airfl train ... | head -1` does, once
+        # left a BrokenPipeError traceback from the row loop; the rows
+        # (about 800 KB) overfill the pipe, so the CLI writes after the close
+        path = write_config(tmp_path, {"experiment": "train", "T": 20000, "d": 1})
+        src = str(BENCH.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        with subprocess.Popen([sys.executable, "-m", "airfl.cli", "train", "--config", path],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              text=True) as proc:
+            assert proc.stdout.readline() == "t,loss,gap\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

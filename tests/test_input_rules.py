@@ -16,7 +16,6 @@ import airfl
 from airfl import (
     BoundInputs,
     ChannelConfig,
-    Pairing,
     PairSecret,
     PowerAllocation,
     SecrecySweep,
@@ -68,7 +67,7 @@ GOOD = {"finite": 0.5, "decibels": 0.5, "nonnegative": 0.5, "positive": 0.5,
 # its counts from checked settings, so it checks nothing
 EXEMPT = {
     "LinkPlan", "NoiseStats", "SecrecyPoint", "TrainState",
-    "Pairing", "PowerAllocation", "BoundInputs", "optimal_model",
+    "PowerAllocation", "BoundInputs", "optimal_model",
     "simulate_round", "draw_noise",
 }
 
@@ -84,7 +83,7 @@ def per_user(value):
 H2 = np.array([1.0, 4.0])
 M, ALPHA = compute_alignment(H2, np.ones(2), 1.0, alpha_cap=0.5)
 ALLOC = PowerAllocation(P=np.ones(2), alpha=ALPHA, beta=np.full(2, 0.5), m=M, L_s=1.0)
-PAIRING = Pairing(pairs=((0, 1),))
+PAIRING = ((0, 1),)
 SECRETS = [PairSecret(1.0, 1.0, 1.0)]
 PLAN = plan_link(H2, ALLOC, PAIRING, SECRETS, 1.0)
 TASK = make_task(2, 3, 2, 0.1, rng())
@@ -95,7 +94,7 @@ def plan(h2=H2, sigma_z2=1.0, **alloc):
 
 
 def stats(h2=H2, P=ALLOC.P, beta=ALLOC.beta, m=M, sigma_z2=1.0):
-    return aggregate_noise_stats(PAIRING, SECRETS, h2, P, beta, m, sigma_z2)
+    return aggregate_noise_stats(SECRETS, h2, P, beta, m, sigma_z2)
 
 
 def rounds(gradients):
@@ -320,12 +319,11 @@ def test_bad_value_is_rejected_by_name(entry, call, name, value, arrays, grids):
     (lambda: one_round(np.array([[1e200, 0.0], [0.0, 0.0]])),
      r"^squared norm of gradient must be a finite value, got array\(\[inf, +0\.\]\)$"),
     (lambda: one_round([[1.0, 0.0], [0.0, math.inf]]), r"^gradient must be a finite value"),
-    # empty or shapeless arrays that reached numpy: a pairing of no pairs
+    # empty or shapeless arrays that reached numpy: no pair secrets
     # divided by zero users, empty per-user arrays reduced a zero-size
     # array, a number for a gradient failed to index, and a model of the
     # wrong length raised numpy's matmul error
-    (lambda: aggregate_noise_stats(Pairing(pairs=()), [], [], [], [], 1.0, 1.0),
-     r"^pairing has no pairs"),
+    (lambda: aggregate_noise_stats([], [], [], [], 1.0, 1.0), r"^no pair secrets"),
     (lambda: optimize_beta_dp(*[np.zeros(0)] * 3, 0.1, 1.0, *[np.zeros(0)] * 2),
      r"^h2, P, eps, caps and alpha need one entry per user \(at least one\), got shapes "
      r"\[\(0,\), \(0,\), \(0,\), \(0,\), \(0,\)\]$"),

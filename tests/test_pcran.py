@@ -3,7 +3,6 @@ import pytest
 
 from airfl.pcran import (
     PairSecret,
-    Pairing,
     aggregate_noise_stats,
     compute_alignment,
     draw_pcran,
@@ -19,13 +18,12 @@ def rng(seed=0):
 
 class TestFormPairs:
     def test_two_users_single_pair(self):
-        pairing = form_pairs(2, rng())
-        assert len(pairing.pairs) == 1
-        assert sorted(pairing.pairs[0]) == [0, 1]
+        pairs = form_pairs(2, rng())
+        assert len(pairs) == 1
+        assert sorted(pairs[0]) == [0, 1]
 
     def test_four_users_partition(self):
-        pairing = form_pairs(4, rng(3))
-        users = sorted(u for pair in pairing.pairs for u in pair)
+        users = sorted(u for pair in form_pairs(4, rng(3)) for u in pair)
         assert users == [0, 1, 2, 3]
 
     def test_odd_k_rejected(self):
@@ -33,11 +31,7 @@ class TestFormPairs:
             form_pairs(3, rng())
 
     def test_deterministic(self):
-        assert form_pairs(10, rng(9)).pairs == form_pairs(10, rng(9)).pairs
-
-    def test_duplicate_user_rejected(self):
-        with pytest.raises(ValueError):
-            Pairing(pairs=((0, 1), (1, 2)))
+        assert form_pairs(10, rng(9)) == form_pairs(10, rng(9))
 
 
 class TestDrawPcran:
@@ -207,12 +201,10 @@ class TestOptimizeBetaDp:
 
 class TestAggregateNoiseStats:
     def make(self, sigmas, h2, P, beta, m, sigma_z2):
-        K = 2 * len(sigmas)
-        pairing = Pairing(pairs=tuple((2 * i, 2 * i + 1) for i in range(len(sigmas))))
         secrets = [
             PairSecret(mu=1.0, sigma2_pos=sp, sigma2_neg=sn) for sp, sn in sigmas
         ]
-        return aggregate_noise_stats(pairing, secrets, h2, P, beta, m, sigma_z2)
+        return aggregate_noise_stats(secrets, h2, P, beta, m, sigma_z2)
 
     def test_sigma_a2_sums_pairs(self):
         stats = self.make(
@@ -248,11 +240,10 @@ class TestAggregateNoiseStats:
         assert stats.M == pytest.approx(c / (0.5 * 2))
 
     def test_secret_count_mismatch(self):
-        pairing = Pairing(pairs=((0, 1), (2, 3)))
-        with pytest.raises(ValueError, match="one secret per pair"):
+        # one secret is one pair of users, so four users' arrays do not fit it
+        with pytest.raises(ValueError, match=r"one entry per paired user \(2\), got 4, 4 and 4"):
             aggregate_noise_stats(
-                pairing, [PairSecret(1.0, 1.0, 1.0)],
-                np.ones(4), np.ones(4), np.ones(4), 1.0, 1.0,
+                [PairSecret(1.0, 1.0, 1.0)], np.ones(4), np.ones(4), np.ones(4), 1.0, 1.0,
             )
 
 
