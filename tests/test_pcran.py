@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from airfl.aircomp import plan_link
 from airfl.pcran import (
     PairSecret,
+    PowerAllocation,
     aggregate_noise_stats,
     compute_alignment,
     draw_pcran,
@@ -32,6 +34,15 @@ class TestFormPairs:
 
     def test_deterministic(self):
         assert form_pairs(10, rng(9)) == form_pairs(10, rng(9))
+
+    def test_duplicate_user_rejected(self):
+        # a pairing is a plain tuple; plan_link is where a repeated user is caught
+        h2 = np.ones(4)
+        m, alpha = compute_alignment(h2, np.ones(4), 1.0)
+        alloc = PowerAllocation(P=np.ones(4), alpha=alpha, beta=np.zeros(4), m=m, L_s=1.0)
+        secret = PairSecret(mu=1.0, sigma2_pos=1.0, sigma2_neg=1.0)
+        with pytest.raises(ValueError, match="perfect matching"):
+            plan_link(h2, alloc, ((0, 1), (1, 2)), [secret, secret], 0.0)
 
 
 class TestDrawPcran:
